@@ -99,7 +99,7 @@ fn check_report(root: &Content) -> Vec<String> {
         "warehouse_bench" => {
             require(root, "rollups", Kind::NonEmptySeq, &mut out);
             require(root, "cache", Kind::NonEmptySeq, &mut out);
-            require_each(root, "rollups", "speedup_warm", &mut out);
+            require_each(root, "rollups", "speedup", &mut out);
             require_each(root, "cache", "ops_per_sec", &mut out);
         }
         "incremental" => {

@@ -51,7 +51,7 @@ struct BenchReport {
 }
 
 /// The post-commit read set: the analyses a feedback-driven pipeline
-/// re-reads after every commit. All are lane-packable (≤ 4 coordinates).
+/// re-reads after every commit.
 fn read_set() -> Vec<CubeQuery> {
     vec![
         CubeQuery::on("Last Minute Sales")

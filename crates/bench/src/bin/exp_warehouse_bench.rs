@@ -1,13 +1,13 @@
 //! Records the warehouse roll-up performance baseline (experiment E16).
 //!
-//! Times the row-at-a-time reference executor against the compiled
-//! columnar path (cold = plan compiled every call, warm = plan served
-//! from the warehouse plan cache) across group cardinalities — from the
-//! zero-group global aggregate to a composed City×Date roll-up — checks
-//! that both paths return identical result sets, measures answer-cache
-//! throughput across shard counts and thread counts, and writes the
-//! measurements to `BENCH_warehouse.json` so future changes have a
-//! recorded trajectory to compare against.
+//! Times the row-at-a-time reference executor against the fold kernel
+//! (`CubeQuery::run`: compile + fold + materialise, every call) across
+//! group cardinalities — from the zero-group global aggregate to a
+//! composed City×Date roll-up — checks that both return identical
+//! result sets, measures answer-cache throughput across shard counts
+//! and thread counts, and writes the measurements to
+//! `BENCH_warehouse.json` so future changes have a recorded trajectory
+//! to compare against.
 //!
 //! Usage: `exp_warehouse_bench [--quick] [--out PATH]`
 //!
@@ -30,10 +30,8 @@ struct RollupMeasurement {
     groups: usize,
     iterations: u32,
     reference_us: f64,
-    compiled_cold_us: f64,
-    compiled_warm_us: f64,
-    speedup_cold: f64,
-    speedup_warm: f64,
+    kernel_us: f64,
+    speedup: f64,
 }
 
 /// One measured answer-cache contention configuration.
@@ -68,8 +66,8 @@ fn time_us<T>(iters: u32, mut f: impl FnMut() -> T) -> f64 {
     start.elapsed().as_secs_f64() * 1e6 / f64::from(iters)
 }
 
-/// The group-cardinality sweep: zero groups (the global-aggregate fast
-/// path), coarse and fine single-coordinate roll-ups, a composed
+/// The group-cardinality sweep: zero groups (the global aggregate),
+/// coarse and fine single-coordinate roll-ups, a composed
 /// two-coordinate roll-up, and a filtered variant.
 fn sweep_queries() -> Vec<(&'static str, CubeQuery)> {
     vec![
@@ -126,26 +124,16 @@ fn measure_rollup(
     query: &CubeQuery,
     iters: u32,
 ) -> RollupMeasurement {
-    // Sanity: the compiled path must return exactly the reference rows.
+    // Sanity: the kernel must return exactly the reference rows.
     let reference = query.execute_reference(wh).expect("reference executes");
-    let compiled = query.run(wh).expect("compiled path executes");
+    let kernel = query.run(wh).expect("kernel executes");
     assert_eq!(
-        reference, compiled,
-        "compiled roll-up diverged from the reference on {name}"
+        reference, kernel,
+        "kernel roll-up diverged from the reference on {name}"
     );
 
     let reference_us = time_us(iters, || query.execute_reference(wh));
-    // Cold: pay plan compilation on every call (what a plan-cache-less
-    // engine would do).
-    let compiled_cold_us = time_us(iters, || {
-        query
-            .compile(wh)
-            .expect("compiles")
-            .execute(wh)
-            .expect("executes")
-    });
-    // Warm: `run` resolves the plan through the warehouse plan cache.
-    let compiled_warm_us = time_us(iters, || query.run(wh));
+    let kernel_us = time_us(iters, || query.run(wh));
 
     RollupMeasurement {
         name,
@@ -156,10 +144,8 @@ fn measure_rollup(
         groups: reference.rows.len(),
         iterations: iters,
         reference_us,
-        compiled_cold_us,
-        compiled_warm_us,
-        speedup_cold: reference_us / compiled_cold_us.max(1e-9),
-        speedup_warm: reference_us / compiled_warm_us.max(1e-9),
+        kernel_us,
+        speedup: reference_us / kernel_us.max(1e-9),
     }
 }
 
@@ -215,22 +201,15 @@ fn main() {
     };
     let cache_ops: u32 = if quick { 2_000 } else { 20_000 };
 
-    section("warehouse bench: reference executor vs compiled columnar path");
+    section("warehouse bench: reference executor vs fold kernel");
     let wh = synthetic_warehouse(rows, airports, 0x5EED);
     let mut rollups = Vec::new();
     for (name, query) in sweep_queries() {
         let m = measure_rollup(name, &wh, &query, iters);
         println!(
             "{:<17} {:>6} rows → {:>5} groups  reference {:>9.1} µs  \
-             cold {:>8.1} µs ({:>4.1}×)  warm {:>8.1} µs ({:>4.1}×)",
-            m.name,
-            m.fact_rows,
-            m.groups,
-            m.reference_us,
-            m.compiled_cold_us,
-            m.speedup_cold,
-            m.compiled_warm_us,
-            m.speedup_warm,
+             kernel {:>8.1} µs ({:>4.1}×)",
+            m.name, m.fact_rows, m.groups, m.reference_us, m.kernel_us, m.speedup,
         );
         rollups.push(m);
     }
@@ -251,19 +230,12 @@ fn main() {
         }
     }
 
-    // Acceptance gates: the compiled path must beat the reference, and
-    // serving plans from the cache must beat recompiling them.
+    // Acceptance gate: the kernel must beat the reference.
     let floor = if quick { 1.0 } else { 2.0 };
-    let best_warm = rollups.iter().map(|m| m.speedup_warm).fold(0.0, f64::max);
+    let best = rollups.iter().map(|m| m.speedup).fold(0.0, f64::max);
     assert!(
-        best_warm >= floor,
-        "best compiled speedup {best_warm:.2}× is below the {floor:.1}× floor"
-    );
-    let cold_total: f64 = rollups.iter().map(|m| m.compiled_cold_us).sum();
-    let warm_total: f64 = rollups.iter().map(|m| m.compiled_warm_us).sum();
-    assert!(
-        warm_total < cold_total,
-        "plan-cache-warm ({warm_total:.1} µs) should beat cold ({cold_total:.1} µs)"
+        best >= floor,
+        "best kernel speedup {best:.2}× is below the {floor:.1}× floor"
     );
 
     let report = BenchReport {

@@ -1,22 +1,21 @@
-//! Revision-invalidated registry of **live** roll-up results.
+//! Revision-invalidated registry of **live** roll-up results — the one
+//! roll-up cache.
 //!
-//! The warehouse's plan cache (in `dwqa-warehouse`) avoids re-*compiling*
-//! a query; this cache avoids re-*executing* it. Entries are tagged with
-//! the pipeline revision they were computed against and — where the
-//! query permits — retain a [`MaterializedRollup`]: the per-group
-//! accumulator state alongside the result.
+//! Entries are tagged with the pipeline revision they were computed
+//! against and keep the [`MaterializedRollup`] that produced them: the
+//! per-group accumulator state with its maintained result.
 //!
 //! That state is what makes commits cheap. A committed feed transaction
-//! no longer purges the cache; it folds its typed [`WarehouseDelta`]
+//! does not purge the cache; it folds its typed [`WarehouseDelta`]
 //! into every live entry ([`RollupCache::apply_delta`]) — appended fact
-//! rows route through a tight scan over just the delta, new dimension
-//! members extend the pass masks and key→ordinal maps — and re-tags the
-//! entries with the new revision. Entries that cannot absorb a delta
-//! (no materialized state, mismatched extents, group-table overflow)
-//! are **demoted**: dropped and recomputed on next read, so incremental
-//! maintenance is always an optimization, never a correctness risk. A
-//! rolled-back transaction leaves the revision — and therefore every
-//! cached result — untouched.
+//! rows go through the kernel's row loop over just the delta, new
+//! dimension members extend the pass masks and key→ordinal maps — and
+//! re-tags the entries with the new revision. Entries that cannot
+//! absorb a delta (a reference-executor result, mismatched extents,
+//! lane or group-table overflow) are **demoted**: dropped and
+//! recomputed on next read, so incremental maintenance is always an
+//! optimization, never a correctness risk. A rolled-back transaction
+//! leaves the revision — and therefore every cached result — untouched.
 
 use dwqa_obs::names as obs;
 use dwqa_warehouse::{
@@ -31,12 +30,26 @@ use std::sync::{Mutex, MutexGuard};
 /// handful of query shapes per dashboard refresh).
 pub const DEFAULT_ROLLUP_CAPACITY: usize = 64;
 
+/// What an entry serves reads from.
+enum Cached {
+    /// Kernel state that later commits maintain in place.
+    Live(Box<MaterializedRollup>),
+    /// A reference-executor result; always demotes on commit.
+    Fixed(ResultSet),
+}
+
+impl Cached {
+    fn result(&self) -> &ResultSet {
+        match self {
+            Cached::Live(state) => state.result_set(),
+            Cached::Fixed(result) => result,
+        }
+    }
+}
+
 struct CachedResult {
     revision: u64,
-    result: ResultSet,
-    /// Live accumulator state, when the query shape supports
-    /// incremental maintenance; `None` entries always demote on commit.
-    materialized: Option<MaterializedRollup>,
+    cached: Cached,
     last_used: u64,
 }
 
@@ -130,7 +143,7 @@ impl RollupCache {
                     entry.last_used = tick;
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     dwqa_obs::counter_add(obs::WAREHOUSE_ROLLUP_HITS, 1);
-                    return Ok(entry.result.clone());
+                    return Ok(entry.cached.result().clone());
                 }
                 Some(_) => {
                     inner.map.remove(&key);
@@ -143,14 +156,13 @@ impl RollupCache {
         if self.capacity == 0 {
             return query.run(warehouse);
         }
-        // Build validates exactly like `query.run` (both go through
-        // plan compilation first), so error behaviour is identical on
-        // either branch.
-        let (result, materialized) =
-            match MaterializedRollup::build(query, warehouse, self.group_limit)? {
-                Some(mat) => (mat.result_set().clone(), Some(mat)),
-                None => (query.run(warehouse)?, None),
-            };
+        // `build` validates exactly like the reference executor, so
+        // error behaviour is identical on either branch.
+        let cached = match MaterializedRollup::build(query, warehouse, self.group_limit)? {
+            Some(state) => Cached::Live(Box::new(state)),
+            None => Cached::Fixed(query.execute_reference(warehouse)?),
+        };
+        let result = cached.result().clone();
         {
             let mut inner = self.inner();
             inner.tick += 1;
@@ -159,8 +171,7 @@ impl RollupCache {
                 key,
                 CachedResult {
                     revision,
-                    result: result.clone(),
-                    materialized,
+                    cached,
                     last_used: tick,
                 },
             );
@@ -187,24 +198,26 @@ impl RollupCache {
     /// pipeline calls this right after a successful commit, before any
     /// further mutation.
     pub fn apply_delta(&self, warehouse: &Warehouse, delta: &WarehouseDelta, revision: u64) {
-        let rows_added = delta.fact_rows_added() as u64;
         let mut inner = self.inner();
         inner.map.retain(|_, entry| {
-            let absorbed = entry
-                .materialized
-                .as_mut()
-                .is_some_and(|mat| mat.apply_delta(warehouse, delta));
-            if absorbed {
-                if let Some(mat) = entry.materialized.as_ref() {
-                    entry.result = mat.result_set().clone();
+            let folded = match &mut entry.cached {
+                Cached::Live(state) => {
+                    let before = state.rows_folded();
+                    state
+                        .apply_delta(warehouse, delta)
+                        .then(|| state.rows_folded() - before)
                 }
-                entry.revision = revision;
-                dwqa_obs::counter_add(obs::WAREHOUSE_DELTA_APPLIED, 1);
-                dwqa_obs::counter_add(obs::WAREHOUSE_DELTA_ROWS, rows_added);
-            } else {
-                dwqa_obs::counter_add(obs::WAREHOUSE_DELTA_DEMOTED, 1);
+                Cached::Fixed(_) => None,
+            };
+            match folded {
+                Some(rows) => {
+                    entry.revision = revision;
+                    dwqa_obs::counter_add(obs::WAREHOUSE_DELTA_APPLIED, 1);
+                    dwqa_obs::counter_add(obs::WAREHOUSE_DELTA_ROWS, rows as u64);
+                }
+                None => dwqa_obs::counter_add(obs::WAREHOUSE_DELTA_DEMOTED, 1),
             }
-            absorbed
+            folded.is_some()
         });
     }
 

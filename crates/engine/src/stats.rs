@@ -320,17 +320,17 @@ impl EngineStats {
         }
     }
 
-    /// Roll-up plans compiled against a fresh warehouse revision.
+    /// Roll-up states compiled (one per cold query or cache miss).
     pub fn warehouse_plans_compiled(&self) -> u64 {
         self.registry.counter_value(names::WAREHOUSE_PLANS_COMPILED)
     }
 
-    /// Roll-up plans served from the warehouse plan cache.
+    /// Commit deltas absorbed by a kept roll-up state without recompiling.
     pub fn warehouse_plans_reused(&self) -> u64 {
         self.registry.counter_value(names::WAREHOUSE_PLANS_REUSED)
     }
 
-    /// Fact rows walked by compiled roll-up scans (summed).
+    /// Fact rows walked by the roll-up kernel (summed).
     pub fn warehouse_rows_scanned(&self) -> u64 {
         self.registry.counter_value(names::WAREHOUSE_ROWS_SCANNED)
     }

@@ -75,15 +75,20 @@ pub const STORE_TORN_FAULTS: &str = "store.torn.faults";
 /// Counter: WAL records dropped on recovery as a torn / stale tail.
 pub const STORE_RECOVERY_TRUNCATED: &str = "store.recovery.truncated";
 
-/// Counter: roll-up plans compiled against a fresh warehouse revision
+/// Counter: roll-up states compiled — one per cold query or cache miss
 /// (`dwqa-warehouse`).
 pub const WAREHOUSE_PLANS_COMPILED: &str = "warehouse.plans.compiled";
-/// Counter: roll-up plans served from the warehouse plan cache.
+/// Counter: commit deltas absorbed by a kept roll-up state without
+/// recompiling it.
 pub const WAREHOUSE_PLANS_REUSED: &str = "warehouse.plans.reused";
-/// Counter: fact rows walked by compiled roll-up scans (summed).
+/// Counter: fact rows walked by the roll-up kernel (summed).
 pub const WAREHOUSE_ROWS_SCANNED: &str = "warehouse.rows.scanned";
-/// Counter: groups materialised by compiled roll-up scans (summed).
+/// Counter: groups materialised by the roll-up kernel (summed).
 pub const WAREHOUSE_GROUPS: &str = "warehouse.groups";
+/// Counter: queries the roll-up kernel declined (key wider than 128
+/// bits, or more groups than the limit), left to the row-at-a-time
+/// reference executor.
+pub const WAREHOUSE_REFERENCE_FALLBACKS: &str = "warehouse.reference.fallbacks";
 /// Counter: roll-up *result* cache hits (`dwqa-core`).
 pub const WAREHOUSE_ROLLUP_HITS: &str = "warehouse.rollup.hits";
 /// Counter: roll-up result cache misses (query executed).
@@ -95,7 +100,7 @@ pub const WAREHOUSE_DELTA_APPLIED: &str = "warehouse.delta.applied";
 /// read because a delta could not be absorbed.
 pub const WAREHOUSE_DELTA_DEMOTED: &str = "warehouse.delta.demoted";
 /// Counter: fact rows folded incrementally into live materialized
-/// roll-ups (summed over entries).
+/// roll-ups (summed over entries, each counting its own fact's rows).
 pub const WAREHOUSE_DELTA_ROWS: &str = "warehouse.delta.rows";
 
 /// Counter: requests received by the QA service, every kind and

@@ -3,11 +3,13 @@
 //! A [`CubeQuery`] names a fact, an optional set of [`Filter`]s (slice /
 //! dice), a list of group-by coordinates (`(role, level)` pairs — choosing
 //! a coarser level *is* roll-up, a finer one drill-down), and the
-//! aggregates to compute. Execution is a single scan over the fact table
-//! with hash aggregation, which is plenty for the corpus sizes of the
-//! reproduction while keeping the semantics obvious.
+//! aggregates to compute. [`CubeQuery::run`] executes through the fold
+//! kernel in `plan.rs`; [`CubeQuery::execute_reference`] is the
+//! row-at-a-time scan with hash aggregation that keeps the semantics
+//! obvious and serves as the kernel's oracle.
 
 use crate::error::{Result, WarehouseError};
+use crate::plan::{MaterializedRollup, DEFAULT_MATERIALIZED_GROUP_LIMIT};
 use crate::value::Value;
 use crate::warehouse::Warehouse;
 use serde::{Deserialize, Serialize};
@@ -348,26 +350,17 @@ impl CubeQuery {
         self
     }
 
-    /// Executes against a warehouse.
-    ///
-    /// This is the fast path: the query is compiled into a
-    /// [`CompiledRollup`](crate::plan::CompiledRollup) (served from the
-    /// warehouse's revision-keyed plan cache when possible) and run as a
-    /// columnar scan. Results are byte-identical to
-    /// [`CubeQuery::execute_reference`].
+    /// Executes against a warehouse: compiles the roll-up state, folds
+    /// every fact row through the kernel ([`crate::MaterializedRollup`])
+    /// and returns the materialised result. A query the kernel declines
+    /// is answered by [`CubeQuery::execute_reference`] (counted by
+    /// `warehouse.reference.fallbacks`); results are byte-identical
+    /// either way.
     pub fn run(&self, wh: &Warehouse) -> Result<ResultSet> {
-        let plan = wh.plan(self)?;
-        if plan.needs_reference() {
-            return self.execute_reference(wh);
+        match MaterializedRollup::build(self, wh, DEFAULT_MATERIALIZED_GROUP_LIMIT)? {
+            Some(state) => Ok(state.into_result_set()),
+            None => self.execute_reference(wh),
         }
-        plan.execute(wh)
-    }
-
-    /// Compiles this query against `wh` without consulting the plan
-    /// cache — useful for benchmarking compile cost and for callers that
-    /// manage plan lifetime themselves.
-    pub fn compile(&self, wh: &Warehouse) -> Result<crate::plan::CompiledRollup> {
-        crate::plan::CompiledRollup::compile(self, wh)
     }
 
     /// The original row-at-a-time executor, kept as the semantic

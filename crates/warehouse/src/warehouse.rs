@@ -4,46 +4,15 @@ use crate::dimension::DimensionTable;
 use crate::error::{Result, WarehouseError};
 use crate::etl::{autofill_date_levels, EtlReport, FactRow, Rejection};
 use crate::fact::FactTable;
-use crate::plan::CompiledRollup;
-use crate::query::CubeQuery;
 use dwqa_mdmodel::Schema;
-use dwqa_obs::names as obs;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Upper bound on cached compiled plans; the workloads the engine sees
-/// (dwquery, analysis, the REPL) reuse a handful of query shapes, so the
-/// cache is simply cleared when it fills rather than tracking LRU order.
-const PLAN_CACHE_CAPACITY: usize = 128;
 
 /// A data warehouse materialising one multidimensional [`Schema`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Warehouse {
     schema: Schema,
     dimensions: Vec<DimensionTable>,
     facts: Vec<FactTable>,
-    /// Bumped on every mutation; compiled plans and cached roll-up
-    /// results are tagged with the revision they were built against and
-    /// discarded when it moves.
-    revision: u64,
-    /// Compiled-plan cache, keyed by the query's canonical (serialized)
-    /// form. Interior mutability so `CubeQuery::run(&Warehouse)` can
-    /// populate it through a shared reference.
-    plans: Mutex<HashMap<String, Arc<CompiledRollup>>>,
-}
-
-impl Clone for Warehouse {
-    /// Clones the data; the plan cache starts empty in the clone (plans
-    /// are revision-tagged derivations, cheap to recompile on demand).
-    fn clone(&self) -> Warehouse {
-        Warehouse {
-            schema: self.schema.clone(),
-            dimensions: self.dimensions.clone(),
-            facts: self.facts.clone(),
-            revision: self.revision,
-            plans: Mutex::new(HashMap::new()),
-        }
-    }
 }
 
 impl Warehouse {
@@ -59,57 +28,7 @@ impl Warehouse {
             schema,
             dimensions,
             facts,
-            revision: 0,
-            plans: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The warehouse's mutation counter. Every change that could affect
-    /// query results (loads, restores) bumps it; caches key on it.
-    pub fn revision(&self) -> u64 {
-        self.revision
-    }
-
-    fn plans(&self) -> MutexGuard<'_, HashMap<String, Arc<CompiledRollup>>> {
-        // A poisoned lock only means another thread panicked mid-insert;
-        // the map itself is always in a usable state.
-        match self.plans.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Returns a compiled plan for `query` at the current revision,
-    /// reusing a cached one when the warehouse has not changed since it
-    /// was compiled.
-    pub fn plan(&self, query: &CubeQuery) -> Result<Arc<CompiledRollup>> {
-        let Ok(key) = serde_json::to_string(query) else {
-            // Unserializable queries (shouldn't happen for well-formed
-            // values) just compile uncached.
-            return Ok(Arc::new(CompiledRollup::compile(query, self)?));
-        };
-        {
-            let mut plans = self.plans();
-            match plans.get(&key) {
-                Some(plan) if plan.revision() == self.revision => {
-                    dwqa_obs::counter_add(obs::WAREHOUSE_PLANS_REUSED, 1);
-                    return Ok(Arc::clone(plan));
-                }
-                Some(_) => {
-                    plans.remove(&key);
-                }
-                None => {}
-            }
-        }
-        // Compile outside the lock; duplicated work on a race is benign.
-        let plan = Arc::new(CompiledRollup::compile(query, self)?);
-        dwqa_obs::counter_add(obs::WAREHOUSE_PLANS_COMPILED, 1);
-        let mut plans = self.plans();
-        if plans.len() >= PLAN_CACHE_CAPACITY {
-            plans.clear();
-        }
-        plans.insert(key, Arc::clone(&plan));
-        Ok(plan)
     }
 
     /// The schema this warehouse materialises.
@@ -135,34 +54,23 @@ impl Warehouse {
         Ok(&self.facts[id.index()])
     }
 
-    /// Raw mutable table access **without** a revision bump. Mutation
-    /// paths (load, restore) bump the revision once per logical commit
-    /// via [`Self::bump_revision`] instead of once per borrowed table —
-    /// per-borrow bumping evicted every cached plan N times during a
-    /// restore and made read-modify helpers look like N mutations.
-    pub(crate) fn dimension_table_raw_mut(
+    /// Mutable table access for the restore path.
+    pub(crate) fn dimension_table_mut(
         &mut self,
         id: dwqa_mdmodel::DimensionId,
     ) -> &mut DimensionTable {
         &mut self.dimensions[id.index()]
     }
 
-    /// See [`Self::dimension_table_raw_mut`].
-    pub(crate) fn fact_table_raw_mut(&mut self, id: dwqa_mdmodel::FactId) -> &mut FactTable {
+    /// See [`Self::dimension_table_mut`].
+    pub(crate) fn fact_table_mut(&mut self, id: dwqa_mdmodel::FactId) -> &mut FactTable {
         &mut self.facts[id.index()]
-    }
-
-    /// Records one logical mutation: caches keyed on the revision treat
-    /// everything computed before this call as stale.
-    pub(crate) fn bump_revision(&mut self) {
-        self.revision += 1;
     }
 
     /// Captures the current table extents so a later
     /// [`Self::delta_since`] can describe what a commit appended.
     pub fn delta_tracker(&self) -> DeltaTracker {
         DeltaTracker {
-            revision: self.revision,
             fact_rows: self.facts.iter().map(FactTable::len).collect(),
             dim_members: self.dimensions.iter().map(DimensionTable::len).collect(),
         }
@@ -197,8 +105,6 @@ impl Warehouse {
             return None;
         }
         Some(WarehouseDelta {
-            base_revision: tracker.revision,
-            new_revision: self.revision,
             fact_rows,
             dim_members,
         })
@@ -244,9 +150,6 @@ impl Warehouse {
             .fact(fact_name)
             .ok_or_else(|| WarehouseError::UnknownFact(fact_name.to_owned()))?;
         let fact_model = fact_model.clone();
-        // Even an all-rejected batch is a conservative invalidation: the
-        // revision moves and stale plans get recompiled, which is cheap.
-        self.revision += 1;
         let mut report = EtlReport::default();
         let mut created: HashMap<String, usize> = HashMap::new();
 
@@ -327,7 +230,6 @@ impl Warehouse {
 /// [`Warehouse::delta_tracker`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaTracker {
-    revision: u64,
     fact_rows: Vec<usize>,
     dim_members: Vec<usize>,
 }
@@ -341,10 +243,6 @@ pub struct DeltaTracker {
 /// appended rows/members into a live materialized aggregate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarehouseDelta {
-    /// Warehouse revision when the tracker was captured.
-    pub base_revision: u64,
-    /// Warehouse revision when the delta was taken.
-    pub new_revision: u64,
     /// `(before, after)` row counts per fact table, schema order.
     pub fact_rows: Vec<(usize, usize)>,
     /// `(before, after)` member counts per dimension table, schema order.
@@ -478,93 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_reuses_until_warehouse_changes() {
-        use crate::query::{AggFn, CubeQuery};
-        let mut wh = Warehouse::new(last_minute_sales());
-        wh.load(
-            "Last Minute Sales",
-            vec![sale("El Prat", "Barcelona", (2004, 1, 30), 120.0)],
-        )
-        .unwrap();
-        let q = CubeQuery::on("Last Minute Sales")
-            .group_by("Destination", "City")
-            .aggregate("price", AggFn::Sum);
-        let p1 = wh.plan(&q).unwrap();
-        let p2 = wh.plan(&q).unwrap();
-        assert!(Arc::ptr_eq(&p1, &p2), "unchanged warehouse reuses plan");
-        // A different query compiles its own plan.
-        let q2 = CubeQuery::on("Last Minute Sales")
-            .group_by("Destination", "Airport")
-            .aggregate("price", AggFn::Sum);
-        let p3 = wh.plan(&q2).unwrap();
-        assert!(!Arc::ptr_eq(&p1, &p3));
-        // Loading bumps the revision and evicts stale plans.
-        let rev = wh.revision();
-        wh.load(
-            "Last Minute Sales",
-            vec![sale("JFK", "New York", (2004, 1, 31), 320.0)],
-        )
-        .unwrap();
-        assert!(wh.revision() > rev);
-        let p4 = wh.plan(&q).unwrap();
-        assert!(!Arc::ptr_eq(&p1, &p4), "stale plan recompiled after load");
-        assert_eq!(p4.revision(), wh.revision());
-    }
-
-    #[test]
-    fn clone_preserves_revision_with_fresh_plan_cache() {
-        use crate::query::{AggFn, CubeQuery};
-        let mut wh = Warehouse::new(last_minute_sales());
-        wh.load(
-            "Last Minute Sales",
-            vec![sale("El Prat", "Barcelona", (2004, 1, 30), 120.0)],
-        )
-        .unwrap();
-        let q = CubeQuery::on("Last Minute Sales")
-            .group_by("Destination", "City")
-            .aggregate("price", AggFn::Sum);
-        let p1 = wh.plan(&q).unwrap();
-        let copy = wh.clone();
-        assert_eq!(copy.revision(), wh.revision());
-        // The clone compiles independently but produces identical rows.
-        let p2 = copy.plan(&q).unwrap();
-        assert!(!Arc::ptr_eq(&p1, &p2));
-        assert_eq!(q.run(&wh).unwrap(), q.run(&copy).unwrap());
-    }
-
-    #[test]
-    fn read_only_access_keeps_the_plan_cache_warm() {
-        use crate::query::{AggFn, CubeQuery};
-        let mut wh = Warehouse::new(last_minute_sales());
-        wh.load(
-            "Last Minute Sales",
-            vec![sale("El Prat", "Barcelona", (2004, 1, 30), 120.0)],
-        )
-        .unwrap();
-        let q = CubeQuery::on("Last Minute Sales")
-            .group_by("Destination", "City")
-            .aggregate("price", AggFn::Sum);
-        let p1 = wh.plan(&q).unwrap();
-        let rev = wh.revision();
-        // Exercise every read path: table accessors, stats, snapshot,
-        // query execution, delta capture. None of these mutate, so none
-        // may move the revision or evict the cached plan.
-        let _ = wh.fact("Last Minute Sales").unwrap().len();
-        let _ = wh.dimension("Airport").unwrap().len();
-        let _ = wh.stats();
-        let _ = wh.snapshot();
-        let _ = q.run(&wh).unwrap();
-        let tracker = wh.delta_tracker();
-        assert!(wh.delta_since(&tracker).unwrap().is_empty());
-        assert_eq!(wh.revision(), rev, "read-only access bumped revision");
-        let p2 = wh.plan(&q).unwrap();
-        assert!(
-            Arc::ptr_eq(&p1, &p2),
-            "read-only access evicted the cached plan"
-        );
-    }
-
-    #[test]
     fn delta_since_describes_a_pure_append() {
         let mut wh = Warehouse::new(last_minute_sales());
         wh.load(
@@ -587,7 +398,6 @@ mod tests {
         // something was created, and nothing shrank.
         assert!(delta.members_added() >= 2);
         assert!(!delta.is_empty());
-        assert!(delta.new_revision > delta.base_revision);
         // The fact extent is (1, 3) for the single fact table.
         assert_eq!(delta.fact_rows[0], (1, 3));
     }

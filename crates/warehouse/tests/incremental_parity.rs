@@ -238,12 +238,12 @@ fn misaligned_deltas_are_rejected() {
     );
 }
 
-/// More than four group-by coordinates cannot be lane-packed; `build`
-/// declines (`Ok(None)`) instead of materializing something it could
-/// not maintain.
+/// Lanes are sized from the coordinates' cardinalities, so five
+/// group-by coordinates fit the `u128` key: the roll-up is built and
+/// maintained like any other.
 #[test]
-fn five_coordinates_are_not_materializable() {
-    let wh = build_warehouse(&[1, 2, 3]);
+fn five_coordinates_are_materializable() {
+    let mut wh = build_warehouse(&[1, 2, 3]);
     let q = CubeQuery::on("Last Minute Sales")
         .group_by("Origin", "Airport")
         .group_by("Destination", "Airport")
@@ -251,11 +251,15 @@ fn five_coordinates_are_not_materializable() {
         .group_by("Date", "Date")
         .group_by("Date", "Month")
         .aggregate("price", AggFn::Count);
-    assert!(
-        MaterializedRollup::build(&q, &wh, DEFAULT_MATERIALIZED_GROUP_LIMIT)
-            .unwrap()
-            .is_none()
-    );
-    // The query itself still runs fine through the per-read paths.
+    let mut mat = MaterializedRollup::build(&q, &wh, DEFAULT_MATERIALIZED_GROUP_LIMIT)
+        .unwrap()
+        .expect("five lanes fit the key");
+    assert_eq!(mat.result_set(), &q.execute_reference(&wh).unwrap());
+
+    let tracker = wh.delta_tracker();
+    wh.load("Last Minute Sales", sales_batch(&[4, 5])).unwrap();
+    let delta = wh.delta_since(&tracker).unwrap();
+    assert!(mat.apply_delta(&wh, &delta));
+    assert_eq!(mat.result_set(), &q.execute_reference(&wh).unwrap());
     assert_eq!(q.run(&wh).unwrap(), q.execute_reference(&wh).unwrap());
 }
