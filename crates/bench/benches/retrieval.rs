@@ -1,16 +1,18 @@
 //! Criterion benchmarks for index-driven passage retrieval.
 //!
-//! Compares the pruned postings-driven path against the exhaustive
-//! reference scan (the pre-postings implementation, kept on
-//! `PassageRetriever` precisely for this comparison), separates query
+//! Compares the score-bounded postings-driven path against the
+//! exhaustive reference scan (the pre-postings implementation, kept in
+//! `dwqa_ir::testing` precisely for this comparison), separates query
 //! compilation cost (cold) from the compiled hot path (warm), sweeps the
 //! paper's window parameter, and scales the corpus with distractor
-//! documents — the pruned path should be flat in corpus size while the
-//! exhaustive scan grows linearly. `exp_retrieval_bench` records the same
-//! comparison as `BENCH_retrieval.json` for the tracked perf trajectory.
+//! documents, which hold no query term and cost the pruned path nothing
+//! while the exhaustive scan grows linearly. `exp_retrieval_bench`
+//! records the same comparison, plus multi-month corpora, as
+//! `BENCH_retrieval.json` for the tracked perf trajectory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dwqa_bench::{build_corpus, FixtureConfig};
+use dwqa_ir::testing::retrieve_weighted_exhaustive;
 use dwqa_ir::{InvertedIndex, PassageRetriever};
 use dwqa_nlp::Lexicon;
 
@@ -43,7 +45,7 @@ fn bench_pruned_vs_exhaustive(c: &mut Criterion) {
     let mut group = c.benchmark_group("retrieval");
     group.sample_size(20);
     group.bench_function("exhaustive_reference", |b| {
-        b.iter(|| retriever.retrieve_weighted_exhaustive(&index, std::hint::black_box(&terms), 5))
+        b.iter(|| retrieve_weighted_exhaustive(&retriever, &index, std::hint::black_box(&terms), 5))
     });
     // Cold: compile the query (vocabulary lookups + idf) every call.
     group.bench_function("pruned_cold", |b| {
@@ -74,7 +76,7 @@ fn bench_window_sweep(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("exhaustive", window), &window, |b, _| {
             b.iter(|| {
-                retriever.retrieve_weighted_exhaustive(&index, std::hint::black_box(&terms), 5)
+                retrieve_weighted_exhaustive(&retriever, &index, std::hint::black_box(&terms), 5)
             })
         });
     }
@@ -97,7 +99,12 @@ fn bench_corpus_sweep(c: &mut Criterion) {
             &distractors,
             |b, _| {
                 b.iter(|| {
-                    retriever.retrieve_weighted_exhaustive(&index, std::hint::black_box(&terms), 5)
+                    retrieve_weighted_exhaustive(
+                        &retriever,
+                        &index,
+                        std::hint::black_box(&terms),
+                        5,
+                    )
                 })
             },
         );

@@ -83,8 +83,17 @@ fn check_report(root: &Content) -> Vec<String> {
         "retrieval_bench" => {
             require(root, "query", Kind::NonEmptySeq, &mut out);
             require(root, "passages_k", Kind::Number, &mut out);
+            require(root, "dated_query", Kind::NonEmptySeq, &mut out);
             require(root, "measurements", Kind::NonEmptySeq, &mut out);
-            require_each(root, "measurements", "speedup_warm", &mut out);
+            for f in [
+                "months",
+                "docs_candidate",
+                "docs_scored",
+                "windows_scored",
+                "speedup",
+            ] {
+                require_each(root, "measurements", f, &mut out);
+            }
         }
         "trace_overhead" => {
             for f in [

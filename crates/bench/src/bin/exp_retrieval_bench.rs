@@ -1,16 +1,21 @@
 //! Records the passage-retrieval performance baseline.
 //!
-//! Times the exhaustive reference scan against the postings-driven pruned
-//! path (cold = query compiled every call, warm = compiled once) across
-//! window sizes and corpus sizes, checks that both paths return identical
-//! passages, and writes the measurements to `BENCH_retrieval.json` so
-//! future changes have a recorded trajectory to compare against.
+//! Times the exhaustive reference scan against the served path (query
+//! compiled and retrieved, as the QA engine does per question) across
+//! window sizes and corpus sizes — one month of weather pages with a
+//! growing number of distractors, then 12 and 48 months at 200
+//! distractors, the end-to-end benchmark's shape — checks that both
+//! return identical passages, and writes the measurements to
+//! `BENCH_retrieval.json` so future changes have a recorded trajectory
+//! to compare against.
 //!
 //! Usage: `exp_retrieval_bench [--quick] [--out PATH]`
 //!
 //! `--quick` shrinks corpora and iteration counts for CI smoke runs.
 
 use dwqa_bench::{build_corpus, section, FixtureConfig};
+use dwqa_common::Month;
+use dwqa_ir::testing::retrieve_weighted_exhaustive;
 use dwqa_ir::{InvertedIndex, PassageRetriever};
 use dwqa_nlp::Lexicon;
 use serde::Serialize;
@@ -19,28 +24,35 @@ use std::time::Instant;
 /// One measured configuration.
 #[derive(Serialize)]
 struct Measurement {
+    /// Months of weather pages (7 cities × 2 styles each), from January
+    /// 2004 on. More than one month is asked the dated query.
+    months: usize,
     distractors: usize,
     corpus_docs: usize,
     window: usize,
     iterations: u32,
-    /// Candidate documents of the benchmark query (≪ `corpus_docs`).
+    /// Documents holding at least one query term.
     docs_candidate: usize,
-    /// Documents the postings let the scorer skip entirely.
+    /// Documents holding none: never touched.
     docs_pruned: usize,
-    /// Candidate windows actually scored by the pruned path.
+    /// Candidates whose windows were scored; the score bound cut the rest.
+    docs_scored: usize,
+    /// Windows whose score was computed.
     windows_scored: usize,
     exhaustive_us: f64,
-    pruned_cold_us: f64,
-    pruned_warm_us: f64,
-    speedup_cold: f64,
-    speedup_warm: f64,
+    /// Query compiled and retrieved, per call.
+    pruned_us: f64,
+    speedup: f64,
 }
 
 #[derive(Serialize)]
 struct BenchReport {
     experiment: &'static str,
     quick: bool,
+    /// Asked of the one-month corpora.
     query: Vec<(String, f64)>,
+    /// Asked of the multi-month corpora.
+    dated_query: Vec<(String, f64)>,
     passages_k: usize,
     measurements: Vec<Measurement>,
 }
@@ -69,46 +81,67 @@ fn query_terms() -> Vec<(String, f64)> {
     ]
 }
 
+/// What Module 1 makes of "What is the temperature on January 15, 2004
+/// in Barcelona?": the day number is the heaviest term, and every
+/// weather page of every city and month holds it.
+fn dated_query_terms() -> Vec<(String, f64)> {
+    vec![
+        ("january".to_owned(), 1.0),
+        ("15".to_owned(), 3.0),
+        ("2004".to_owned(), 1.0),
+        ("barcelona".to_owned(), 1.0),
+    ]
+}
+
 const K: usize = 5;
 
-fn measure(distractors: usize, window: usize, iters: u32) -> Measurement {
+fn measure(months: usize, distractors: usize, window: usize, iters: u32) -> Measurement {
     let lexicon = Lexicon::english();
     let (store, _) = build_corpus(&FixtureConfig {
+        months: (0..months)
+            .map(|m| {
+                let month = Month::from_number(m as u32 % 12 + 1).expect("1..=12 is a month");
+                (2004 + (m / 12) as i32, month)
+            })
+            .collect(),
         distractors,
         ..FixtureConfig::default()
     });
     let index = InvertedIndex::build(&lexicon, &store);
     let retriever = PassageRetriever::build(&lexicon, &store, window);
-    let terms = query_terms();
+    let terms = if months > 1 {
+        dated_query_terms()
+    } else {
+        query_terms()
+    };
     let query = retriever.compile_query(&index, terms.iter().map(|(t, w)| (t.as_str(), *w)));
 
-    // Sanity: the pruned path must return exactly the reference results.
+    // Sanity: the served path must return exactly the reference results.
     let (pruned, stats) = retriever.retrieve_query(&query, K);
-    let exhaustive = retriever.retrieve_weighted_exhaustive(&index, &terms, K);
+    let exhaustive = retrieve_weighted_exhaustive(&retriever, &index, &terms, K);
     assert_eq!(
         pruned, exhaustive,
         "pruned retrieval diverged from the exhaustive reference"
     );
 
     let exhaustive_us = time_us(iters, || {
-        retriever.retrieve_weighted_exhaustive(&index, &terms, K)
+        retrieve_weighted_exhaustive(&retriever, &index, &terms, K)
     });
-    let pruned_cold_us = time_us(iters, || retriever.retrieve_weighted(&index, &terms, K));
-    let pruned_warm_us = time_us(iters, || retriever.retrieve_query(&query, K));
+    let pruned_us = time_us(iters, || retriever.retrieve_weighted(&index, &terms, K));
 
     Measurement {
+        months,
         distractors,
         corpus_docs: store.len(),
         window,
         iterations: iters,
         docs_candidate: stats.docs_candidate,
         docs_pruned: stats.docs_pruned,
+        docs_scored: stats.docs_scored,
         windows_scored: stats.windows_scored,
         exhaustive_us,
-        pruned_cold_us,
-        pruned_warm_us,
-        speedup_cold: exhaustive_us / pruned_cold_us.max(1e-9),
-        speedup_warm: exhaustive_us / pruned_warm_us.max(1e-9),
+        pruned_us,
+        speedup: exhaustive_us / pruned_us.max(1e-9),
     }
 }
 
@@ -127,34 +160,44 @@ fn main() {
         (&[0, 50, 200], 200)
     };
     let windows: &[usize] = if quick { &[8] } else { &[4, 8, 16] };
-
-    section("retrieval bench: exhaustive reference vs pruned postings path");
-    let mut measurements = Vec::new();
+    // (months, distractors, window): one month over the distractor and
+    // window sweeps, then the end-to-end benchmark's shape.
+    let mut rows: Vec<(usize, usize, usize)> = Vec::new();
     for &d in distractor_steps {
-        for &w in windows {
-            let m = measure(d, w, iters);
-            println!(
-                "corpus {:>3} docs  window {:>2}  candidates {:>2}/{:<3}  \
-                 exhaustive {:>9.1} µs  pruned cold {:>8.1} µs ({:>5.1}×)  \
-                 warm {:>8.1} µs ({:>5.1}×)",
-                m.corpus_docs,
-                m.window,
-                m.docs_candidate,
-                m.corpus_docs,
-                m.exhaustive_us,
-                m.pruned_cold_us,
-                m.speedup_cold,
-                m.pruned_warm_us,
-                m.speedup_warm,
-            );
-            measurements.push(m);
-        }
+        rows.extend(windows.iter().map(|&w| (1, d, w)));
+    }
+    let month_steps: &[usize] = if quick { &[3] } else { &[12, 48] };
+    rows.extend(
+        month_steps
+            .iter()
+            .map(|&m| (m, 200, PassageRetriever::DEFAULT_WINDOW)),
+    );
+
+    section("retrieval bench: exhaustive reference vs score-bounded postings path");
+    let mut measurements = Vec::new();
+    for (months, distractors, window) in rows {
+        let m = measure(months, distractors, window, iters);
+        println!(
+            "{:>2} months  corpus {:>3} docs  window {:>2}  candidates {:>3}  scored {:>3}  \
+             windows {:>5}  exhaustive {:>9.1} µs  pruned {:>8.1} µs ({:>5.1}×)",
+            m.months,
+            m.corpus_docs,
+            m.window,
+            m.docs_candidate,
+            m.docs_scored,
+            m.windows_scored,
+            m.exhaustive_us,
+            m.pruned_us,
+            m.speedup,
+        );
+        measurements.push(m);
     }
 
     let report = BenchReport {
         experiment: "retrieval_bench",
         quick,
         query: query_terms(),
+        dated_query: dated_query_terms(),
         passages_k: K,
         measurements,
     };

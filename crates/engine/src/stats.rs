@@ -255,9 +255,21 @@ impl EngineStats {
         self.registry.counter_value(names::RETRIEVAL_COUNT)
     }
 
-    /// Candidate documents scored, summed over all retrievals.
+    /// Candidate documents (holding ≥ 1 query term), summed over all
+    /// retrievals.
     pub fn retrieval_docs_candidate(&self) -> u64 {
         self.registry.counter_value(names::RETRIEVAL_DOCS_CANDIDATE)
+    }
+
+    /// Candidates whose windows were scored, summed over all retrievals.
+    pub fn retrieval_docs_scored(&self) -> u64 {
+        self.registry.counter_value(names::RETRIEVAL_DOCS_SCORED)
+    }
+
+    /// Candidates cut by the score bound, summed over all retrievals.
+    pub fn retrieval_docs_bound_skipped(&self) -> u64 {
+        self.registry
+            .counter_value(names::RETRIEVAL_DOCS_BOUND_SKIPPED)
     }
 
     /// Documents skipped by index pruning, summed over all retrievals.
@@ -407,10 +419,12 @@ impl EngineStats {
             self.outcomes_panicked(),
         ));
         out.push_str(&format!(
-            "retrieval: {} retrievals   {:.1} candidate docs/query ({:.0}% of corpus pruned)   {} windows scored\n",
+            "retrieval: {} retrievals   {:.1} candidate docs/query ({:.0}% of corpus pruned)   {} docs scored / {} cut by the score bound   {} windows scored\n",
             self.retrievals(),
             self.mean_candidate_docs(),
             self.pruned_fraction() * 100.0,
+            self.retrieval_docs_scored(),
+            self.retrieval_docs_bound_skipped(),
             self.retrieval_windows_scored(),
         ));
         out.push_str(&format!(
@@ -498,16 +512,24 @@ mod tests {
             reg.counter(names::RETRIEVAL_DOCS_TOTAL).add(100);
             reg.counter(names::RETRIEVAL_DOCS_CANDIDATE).add(candidate);
             reg.counter(names::RETRIEVAL_DOCS_PRUNED).add(pruned);
+            reg.counter(names::RETRIEVAL_DOCS_SCORED).add(candidate - 3);
+            reg.counter(names::RETRIEVAL_DOCS_BOUND_SKIPPED).add(3);
             reg.counter(names::RETRIEVAL_WINDOWS_SCORED).add(windows);
         }
         assert_eq!(stats.retrievals(), 2);
         assert_eq!(stats.retrieval_docs_candidate(), 10);
         assert_eq!(stats.retrieval_docs_pruned(), 190);
+        assert_eq!(stats.retrieval_docs_scored(), 4);
+        assert_eq!(stats.retrieval_docs_bound_skipped(), 6);
         assert_eq!(stats.retrieval_windows_scored(), 32);
         assert!((stats.mean_candidate_docs() - 5.0).abs() < 1e-12);
         assert!((stats.pruned_fraction() - 0.95).abs() < 1e-12);
         let table = stats.render();
         assert!(table.contains("95% of corpus pruned"), "{table}");
+        assert!(
+            table.contains("4 docs scored / 6 cut by the score bound"),
+            "{table}"
+        );
     }
 
     /// The warehouse getters read the counters that `dwqa-warehouse` and

@@ -14,12 +14,15 @@
 //! * [`search`] — ranked document retrieval (Okapi BM25 and TF-IDF cosine);
 //! * [`passage`] — the IR-n passage retrieval used by AliQAn's Module 2,
 //!   driven by interned sentence-level postings: queries compile once into
-//!   a [`passage::PassageQuery`], candidate documents come from the
-//!   postings, and documents without query terms are never scored
-//!   ([`passage::RetrievalStats`] reports the pruning);
+//!   a [`passage::PassageQuery`], candidate documents and a score bound
+//!   for each come from the postings, and only documents that can still
+//!   reach the top `k` are scored ([`passage::RetrievalStats`] reports
+//!   the pruning);
 //! * [`mdir`] — the multidimensional-IR **baseline** of McCabe et al.
 //!   (SIGIR 2000, the paper's reference [11]): documents categorised along
-//!   location × time dimensions, filtered OLAP-style before term search.
+//!   location × time dimensions, filtered OLAP-style before term search;
+//! * [`testing`] — the exhaustive reference scan passage retrieval is
+//!   tested and benchmarked against.
 
 //! ```
 //! use dwqa_ir::{Document, DocumentStore, DocFormat, InvertedIndex, PassageRetriever};
@@ -42,6 +45,7 @@ pub mod index;
 pub mod mdir;
 pub mod passage;
 pub mod search;
+pub mod testing;
 
 pub use document::{DocFormat, DocId, Document, DocumentStore};
 pub use index::InvertedIndex;

@@ -6,20 +6,21 @@
 //! The paper's footnote 6 fixes `n = 8` for its experiment; the window
 //! size is a parameter here (and is swept in the benchmark suite).
 //!
-//! ## Index-driven candidate pruning
+//! ## Score-bounded top-k evaluation
 //!
 //! Retrieval is driven by **sentence-level postings** (`Symbol →
-//! (document, sentence)` pairs, built once at index time), in the spirit
-//! of classic inverted-file query evaluation: a query is compiled once
-//! into interned symbols with IDF-scaled weights ([`PassageQuery`]), the
-//! candidate document set is gathered from the postings of the query's
-//! terms, and only windows around matching sentences of candidate
-//! documents are ever scored. Documents containing no query term are
-//! never touched, so per-query cost is proportional to the number of
-//! *matching* sentences, not to corpus size. The pre-postings exhaustive
-//! scan is kept as [`PassageRetriever::retrieve_weighted_exhaustive`] —
-//! the reference implementation the equivalence proptests and the
-//! `benches/retrieval.rs` baseline run against.
+//! sentences`, grouped into one run per document, built once at index
+//! time), in the spirit of classic inverted-file top-k query evaluation:
+//! a query is compiled once into interned symbols with IDF-scaled
+//! weights ([`PassageQuery`]); the runs of its terms give the candidate
+//! documents and, per candidate, an upper bound on the score of any of
+//! its windows; candidates are visited best bound first and the visit
+//! stops at the first document whose bound is below the worst of the `k`
+//! windows already held. Documents containing no query term are never
+//! touched, and of the candidates only those that can still reach the
+//! top `k` have their windows scored. The pre-postings exhaustive scan
+//! lives in [`crate::testing`] — the reference implementation the
+//! equivalence tests and the `benches/retrieval.rs` baseline run against.
 
 use crate::document::{DocId, DocumentStore};
 use crate::index::{index_terms, InvertedIndex};
@@ -59,18 +60,49 @@ impl Passage {
     }
 }
 
-/// One sentence-level posting: a document and a sentence inside it that
-/// contains the term. Sorted by `(doc, sentence)` construction order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SentPosting {
+/// One document's run inside a term's sentence postings:
+/// `sents[lo..hi]` are the sentences of `doc` that contain the term.
+#[derive(Debug, Clone, Copy)]
+struct DocRun {
     doc: u32,
-    sent: u32,
+    lo: u32,
+    hi: u32,
+}
+
+/// The sentence-level postings of one term.
+#[derive(Debug, Clone, Default)]
+struct TermPostings {
+    /// One run per document holding the term, documents ascending — the
+    /// document-level skip index over `sents`.
+    runs: Vec<DocRun>,
+    /// Sentence numbers, ascending within each run.
+    sents: Vec<u32>,
+}
+
+impl TermPostings {
+    /// The sentences of `doc` that contain the term (empty if none).
+    fn sentences_in(&self, doc: u32) -> &[u32] {
+        match self.runs.binary_search_by_key(&doc, |r| r.doc) {
+            Ok(i) => &self.sents[self.runs[i].lo as usize..self.runs[i].hi as usize],
+            Err(_) => &[],
+        }
+    }
+}
+
+/// Whether a caller-supplied term weight may enter a query: finite and
+/// not negative. The score bound sums weights and needs them to be
+/// ordered numbers that never lower a sum; the exhaustive reference in
+/// [`crate::testing`] drops the same occurrences.
+pub(crate) fn usable_weight(weight: f64) -> bool {
+    weight.is_finite() && weight >= 0.0
 }
 
 /// A query compiled against a retriever's vocabulary: distinct terms
 /// resolved to symbols (first-occurrence order, duplicate weights merged
 /// by max) with the term's IDF baked into the weight. Terms outside the
-/// vocabulary occur in no sentence and are dropped at compile time.
+/// vocabulary occur in no sentence and are dropped at compile time, and
+/// so are terms whose weight is negative or not finite — every compiled
+/// weight is ≥ 0 and never NaN, which the retrieval bound relies on.
 ///
 /// Compiling interns nothing and clones no strings — the query side of
 /// retrieval is allocation-free per term.
@@ -92,24 +124,32 @@ impl PassageQuery {
     }
 }
 
-/// Counters from one pruned retrieval: how much of the corpus the
-/// postings allowed the scorer to skip. Rendered by the engine's
+/// Counters from one retrieval: how much of the corpus the postings and
+/// the score bound allowed the scorer to skip. Rendered by the engine's
 /// `:stats` as the candidate-set / pruning read-out.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetrievalStats {
     /// Documents in the corpus.
     pub docs_total: usize,
-    /// Documents containing at least one query term (scored).
+    /// Documents containing at least one query term
+    /// (`docs_scored + docs_bound_skipped`).
     pub docs_candidate: usize,
-    /// Documents never touched (`docs_total - docs_candidate`).
+    /// Documents containing no query term (`docs_total - docs_candidate`).
     pub docs_pruned: usize,
-    /// Candidate windows actually scored.
+    /// Candidates whose windows were scored.
+    pub docs_scored: usize,
+    /// Candidates cut by the score bound: none of their windows could
+    /// have entered the top `k`.
+    pub docs_bound_skipped: usize,
+    /// Windows whose score was computed.
     pub windows_scored: usize,
 }
 
-/// A candidate window ranked for top-k selection. The ordering is the
-/// total order the final ranking uses: score descending, then document
-/// ascending, then start ascending — `a > b` means `a` ranks better.
+/// A candidate ranked for top-k selection: a window with its score, or
+/// (with `start = len = 0`) a whole document with its score bound. The
+/// ordering is the total order the final ranking uses: score descending,
+/// then document ascending, then start ascending — `a > b` means `a`
+/// ranks better.
 #[derive(Debug, Clone, Copy)]
 struct Ranked {
     score: f64,
@@ -148,12 +188,9 @@ pub struct PassageRetriever {
     /// The term vocabulary (index-term strings → symbols).
     vocabulary: Interner,
     /// Per document: the sentence list.
-    sentences: Vec<Vec<String>>,
-    /// Per document, per sentence: the sorted, distinct index-term
-    /// symbols (the exhaustive reference scans these).
-    sentence_terms: Vec<Vec<Vec<Symbol>>>,
-    /// Per symbol (by index): the sentence-level postings list.
-    postings: Vec<Vec<SentPosting>>,
+    pub(crate) sentences: Vec<Vec<String>>,
+    /// Per symbol (by index): the sentence-level postings.
+    postings: Vec<TermPostings>,
     /// Window size in sentences (the paper uses 8).
     window: usize,
 }
@@ -164,7 +201,7 @@ impl PassageRetriever {
 
     /// Up to this many non-overlapping windows may come from one
     /// document (a month-long weather page has several relevant spots).
-    const PER_DOC: usize = 3;
+    pub(crate) const PER_DOC: usize = 3;
 
     /// Builds the retriever over a document store, sequentially.
     pub fn build(lexicon: &Lexicon, store: &DocumentStore, window: usize) -> PassageRetriever {
@@ -217,34 +254,38 @@ impl PassageRetriever {
         (sents, terms)
     }
 
-    /// Interns every sentence's terms and builds the postings lists.
+    /// Interns every sentence's terms and builds the postings with
+    /// their per-document runs.
     fn assemble(per_doc: Vec<(Vec<String>, Vec<Vec<String>>)>, window: usize) -> PassageRetriever {
         let mut vocabulary = Interner::new();
         let mut sentences = Vec::with_capacity(per_doc.len());
-        let mut sentence_terms = Vec::with_capacity(per_doc.len());
-        let mut postings: Vec<Vec<SentPosting>> = Vec::new();
+        let mut postings: Vec<TermPostings> = Vec::new();
         for (doc, (sents, term_lists)) in per_doc.into_iter().enumerate() {
-            let mut doc_terms = Vec::with_capacity(term_lists.len());
+            let doc = doc as u32;
             for (sent, terms) in term_lists.into_iter().enumerate() {
                 let mut syms: Vec<Symbol> = terms.iter().map(|t| vocabulary.intern(t)).collect();
                 syms.sort_unstable();
                 syms.dedup();
-                postings.resize(vocabulary.len(), Vec::new());
+                postings.resize(vocabulary.len(), TermPostings::default());
                 for &sym in &syms {
-                    postings[sym.index()].push(SentPosting {
-                        doc: doc as u32,
-                        sent: sent as u32,
-                    });
+                    let term = &mut postings[sym.index()];
+                    let at = term.sents.len() as u32;
+                    match term.runs.last_mut() {
+                        Some(run) if run.doc == doc => run.hi = at + 1,
+                        _ => term.runs.push(DocRun {
+                            doc,
+                            lo: at,
+                            hi: at + 1,
+                        }),
+                    }
+                    term.sents.push(sent as u32);
                 }
-                doc_terms.push(syms);
             }
             sentences.push(sents);
-            sentence_terms.push(doc_terms);
         }
         PassageRetriever {
             vocabulary,
             sentences,
-            sentence_terms,
             postings,
             window: window.max(1),
         }
@@ -265,11 +306,23 @@ impl PassageRetriever {
         self.vocabulary.len()
     }
 
+    /// The sentences of document `doc` that hold `term`, ascending — the
+    /// view of the postings the exhaustive reference in
+    /// [`crate::testing`] tests membership against.
+    pub(crate) fn sentences_holding(&self, term: &str, doc: u32) -> &[u32] {
+        match self.vocabulary.get(term) {
+            Some(sym) => self.postings[sym.index()].sentences_in(doc),
+            None => &[],
+        }
+    }
+
     /// Compiles a weighted term sequence into a [`PassageQuery`]:
     /// duplicates are merged (max weight, first-occurrence order kept),
-    /// out-of-vocabulary terms are dropped, and each surviving term's
-    /// weight is scaled by its IDF from `index`. No strings are cloned
-    /// or interned — terms are resolved against the existing vocabulary.
+    /// out-of-vocabulary terms and occurrences with an unusable weight
+    /// ([`usable_weight`]) are dropped, and each surviving term's weight
+    /// is scaled by its IDF from `index` (which is > 0). No strings are
+    /// cloned or interned — terms are resolved against the existing
+    /// vocabulary.
     pub fn compile_query<'a, I>(&self, index: &InvertedIndex, terms: I) -> PassageQuery
     where
         I: IntoIterator<Item = (&'a str, f64)>,
@@ -277,6 +330,9 @@ impl PassageRetriever {
         let mut distinct: Vec<(Symbol, f64)> = Vec::new();
         let mut slot: HashMap<Symbol, usize> = HashMap::new();
         for (term, weight) in terms {
+            if !usable_weight(weight) {
+                continue;
+            }
             let Some(sym) = self.vocabulary.get(term) else {
                 continue; // occurs in no sentence: contributes 0 everywhere
             };
@@ -316,20 +372,23 @@ impl PassageRetriever {
         self.retrieve_query(&query, k).0
     }
 
-    /// The pruned retrieval core: gathers the candidate document set from
-    /// the sentence postings, scores only windows around matching
-    /// sentences, and selects the global top `k` with a bounded heap.
-    /// Returns the ranked passages plus the pruning counters.
+    /// The retrieval core: gathers the candidate documents and their score
+    /// bounds from the posting runs, scores windows around matching
+    /// sentences of the candidates that can still reach the top `k`, and
+    /// selects the global top `k` with a bounded heap. Returns the ranked
+    /// passages plus the pruning counters.
     ///
     /// Rank- and score-identical to
-    /// [`PassageRetriever::retrieve_weighted_exhaustive`] (the proptests
-    /// in this module prove byte-identical output).
+    /// [`crate::testing::retrieve_weighted_exhaustive`] (the tests in this
+    /// crate prove byte-identical output).
     pub fn retrieve_query(&self, query: &PassageQuery, k: usize) -> (Vec<Passage>, RetrievalStats) {
         let span = dwqa_obs::span!("retrieve", k);
         let (passages, stats) = self.retrieve_query_core(query, k);
         span.record("docs_total", stats.docs_total);
         span.record("docs_candidate", stats.docs_candidate);
         span.record("docs_pruned", stats.docs_pruned);
+        span.record("docs_scored", stats.docs_scored);
+        span.record("docs_bound_skipped", stats.docs_bound_skipped);
         span.record("windows_scored", stats.windows_scored);
         span.record("returned", passages.len());
         dwqa_obs::counter_add(dwqa_obs::names::RETRIEVAL_COUNT, 1);
@@ -344,6 +403,14 @@ impl PassageRetriever {
         dwqa_obs::counter_add(
             dwqa_obs::names::RETRIEVAL_DOCS_PRUNED,
             stats.docs_pruned as u64,
+        );
+        dwqa_obs::counter_add(
+            dwqa_obs::names::RETRIEVAL_DOCS_SCORED,
+            stats.docs_scored as u64,
+        );
+        dwqa_obs::counter_add(
+            dwqa_obs::names::RETRIEVAL_DOCS_BOUND_SKIPPED,
+            stats.docs_bound_skipped as u64,
         );
         dwqa_obs::counter_add(
             dwqa_obs::names::RETRIEVAL_WINDOWS_SCORED,
@@ -368,67 +435,93 @@ impl PassageRetriever {
             return (Vec::new(), stats);
         }
 
-        // Candidate documents: any document holding ≥ 1 query term.
+        // Candidate documents (any document holding ≥ 1 query term), each
+        // with `held` = the summed weights of the query terms it holds.
+        // The sum runs in query-term order from 0.0, exactly like a
+        // window's score and a sentence's hit weight below, which add a
+        // subset of the same non-negative weights in the same order — so
+        // by monotonicity of floating-point addition neither can exceed
+        // `held`, rounding included.
+        const NOT_A_CANDIDATE: f64 = -1.0;
+        let mut held: Vec<f64> = vec![NOT_A_CANDIDATE; self.sentences.len()];
         let mut candidates: Vec<u32> = Vec::new();
-        for &(sym, _) in &query.terms {
-            candidates.extend(self.postings[sym.index()].iter().map(|p| p.doc));
+        for &(sym, weight) in &query.terms {
+            for run in &self.postings[sym.index()].runs {
+                let sum = &mut held[run.doc as usize];
+                if *sum == NOT_A_CANDIDATE {
+                    candidates.push(run.doc);
+                    *sum = 0.0;
+                }
+                *sum += weight;
+            }
         }
-        candidates.sort_unstable();
-        candidates.dedup();
         stats.docs_candidate = candidates.len();
         stats.docs_pruned = stats.docs_total - candidates.len();
 
-        // Per-term cursor into its postings list; candidate docs ascend,
-        // so each postings list is traversed once across all documents.
-        let mut cursors: Vec<usize> = vec![0; query.terms.len()];
+        // No window of a document scores above its bound: the window sum,
+        // the proximity bonus and the position bonus are each built from a
+        // value ≤ `held` by the operations that build the bound. Best
+        // bound first; equal bounds by document ascending.
+        let mut by_bound: BinaryHeap<Ranked> = candidates
+            .iter()
+            .map(|&doc| {
+                let held = held[doc as usize];
+                let mut bound = held;
+                bound += 0.5 * held;
+                bound += 0.01 * held;
+                Ranked {
+                    score: bound,
+                    doc,
+                    start: 0,
+                    len: 0,
+                }
+            })
+            .collect();
+
         // Scratch, reused across documents.
-        let mut ranges: Vec<(usize, usize)> = vec![(0, 0); query.terms.len()];
+        let mut term_sents: Vec<&[u32]> = vec![&[]; query.terms.len()];
+        let mut per_term_ptr: Vec<usize> = vec![0; query.terms.len()];
         let mut matched: Vec<u32> = Vec::new();
         let mut hits: Vec<f64> = Vec::new();
         let mut windows: Vec<Ranked> = Vec::new();
+        let mut taken: Vec<(u32, u32)> = Vec::with_capacity(Self::PER_DOC);
         // Bounded min-heap: the worst of the current top-k on top.
         let mut top: BinaryHeap<std::cmp::Reverse<Ranked>> = BinaryHeap::with_capacity(k + 1);
 
-        for &doc in &candidates {
-            let n = self.sentences[doc as usize].len();
-            if n == 0 {
-                continue;
+        while let Some(candidate) = by_bound.pop() {
+            // Once k windows are held, a document bounded strictly below
+            // the worst of them cannot place a window, nor can any later
+            // one. An equal bound is still visited: a tie on score goes
+            // to the lower document.
+            if top.len() == k
+                && top
+                    .peek()
+                    .is_some_and(|worst| candidate.score < worst.0.score)
+            {
+                break;
             }
-            // This document's sentence range inside each term's postings.
-            for (ti, &(sym, _)) in query.terms.iter().enumerate() {
-                let plist = &self.postings[sym.index()];
-                let mut c = cursors[ti];
-                while c < plist.len() && plist[c].doc < doc {
-                    c += 1;
-                }
-                let start = c;
-                while c < plist.len() && plist[c].doc == doc {
-                    c += 1;
-                }
-                cursors[ti] = c;
-                ranges[ti] = (start, c);
+            stats.docs_scored += 1;
+            let doc = candidate.doc;
+            let n = self.sentences[doc as usize].len();
+            // This document's sentences inside each term's postings.
+            for (sents, &(sym, _)) in term_sents.iter_mut().zip(&query.terms) {
+                *sents = self.postings[sym.index()].sentences_in(doc);
             }
             // Matching sentences (sorted, distinct) and their per-sentence
             // hit weights, accumulated in query-term order so floating-
             // point sums match the exhaustive reference bit for bit.
             matched.clear();
-            for (ti, _) in query.terms.iter().enumerate() {
-                let (lo, hi) = ranges[ti];
-                matched.extend(
-                    self.postings[query.terms[ti].0.index()][lo..hi]
-                        .iter()
-                        .map(|p| p.sent),
-                );
+            for sents in &term_sents {
+                matched.extend_from_slice(sents);
             }
             matched.sort_unstable();
             matched.dedup();
             hits.clear();
             hits.resize(matched.len(), 0.0);
-            for (ti, &(sym, weight)) in query.terms.iter().enumerate() {
-                let (lo, hi) = ranges[ti];
-                for p in &self.postings[sym.index()][lo..hi] {
+            for (sents, &(_, weight)) in term_sents.iter().zip(&query.terms) {
+                for sent in *sents {
                     let mi = matched
-                        .binary_search(&p.sent)
+                        .binary_search(sent)
                         .expect("matched holds every posted sentence");
                     hits[mi] += weight;
                 }
@@ -442,7 +535,7 @@ impl PassageRetriever {
             // Candidate starts: union of the start ranges around each
             // matching sentence, walked in ascending order.
             windows.clear();
-            let mut per_term_ptr: Vec<usize> = ranges.iter().map(|&(lo, _)| lo).collect();
+            per_term_ptr.fill(0);
             let mut matched_ptr = 0usize;
             let mut next_start = 0usize;
             for &sent in &matched {
@@ -458,15 +551,14 @@ impl PassageRetriever {
                     // summed in query order (float-identical to the
                     // exhaustive scan).
                     let mut score = 0.0;
-                    for (ti, &(sym, weight)) in query.terms.iter().enumerate() {
-                        let plist = &self.postings[sym.index()];
-                        let (_, hi_t) = ranges[ti];
+                    for (ti, &(_, weight)) in query.terms.iter().enumerate() {
+                        let sents = term_sents[ti];
                         let mut p = per_term_ptr[ti];
-                        while p < hi_t && (plist[p].sent as usize) < start {
+                        while p < sents.len() && (sents[p] as usize) < start {
                             p += 1;
                         }
                         per_term_ptr[ti] = p;
-                        if p < hi_t && (plist[p].sent as usize) < end {
+                        if p < sents.len() && (sents[p] as usize) < end {
                             score += weight;
                         }
                     }
@@ -516,7 +608,7 @@ impl PassageRetriever {
                     .unwrap_or(Ordering::Equal)
                     .then(a.start.cmp(&b.start))
             });
-            let mut taken: Vec<(u32, u32)> = Vec::new();
+            taken.clear();
             for &w in &windows {
                 if taken.len() == Self::PER_DOC {
                     break;
@@ -538,6 +630,7 @@ impl PassageRetriever {
                 }
             }
         }
+        stats.docs_bound_skipped = stats.docs_candidate - stats.docs_scored;
 
         // Materialise the survivors best-first; sentence strings are
         // cloned only for the k passages actually returned.
@@ -559,110 +652,6 @@ impl PassageRetriever {
         (passages, stats)
     }
 
-    /// The pre-postings exhaustive scan: slides a window over **every
-    /// sentence of every document** and scores each position. Kept as the
-    /// reference implementation — the equivalence proptests and
-    /// `benches/retrieval.rs` compare the pruned path against it; it is
-    /// not part of the serving path.
-    pub fn retrieve_weighted_exhaustive(
-        &self,
-        index: &InvertedIndex,
-        terms: &[(String, f64)],
-        k: usize,
-    ) -> Vec<Passage> {
-        // The original O(q²) first-occurrence dedup, then symbols
-        // resolved for membership tests (out-of-vocabulary terms keep a
-        // slot and simply never match, exactly like the old string sets).
-        let query: Vec<(Option<Symbol>, f64)> = {
-            let mut distinct: Vec<(&str, f64)> = Vec::new();
-            for (t, w) in terms {
-                match distinct.iter_mut().find(|(d, _)| *d == t) {
-                    Some(entry) => entry.1 = entry.1.max(*w),
-                    None => distinct.push((t.as_str(), *w)),
-                }
-            }
-            distinct
-                .into_iter()
-                .map(|(t, w)| (self.vocabulary.get(t), w * index.idf(t)))
-                .collect()
-        };
-        let contains = |doc: usize, sent: usize, sym: Option<Symbol>| -> bool {
-            sym.is_some_and(|s| self.sentence_terms[doc][sent].binary_search(&s).is_ok())
-        };
-        let mut best: Vec<Passage> = Vec::new();
-        for (doc_idx, sents) in self.sentences.iter().enumerate() {
-            let mut candidates: Vec<(f64, usize, usize)> = Vec::new(); // (score, start, len)
-            let n = sents.len();
-            if n == 0 {
-                continue;
-            }
-            let starts = if n > self.window {
-                n - self.window + 1
-            } else {
-                1
-            };
-            for start in 0..starts {
-                let end = (start + self.window).min(n);
-                let mut score = 0.0;
-                for &(sym, idf) in &query {
-                    if (start..end).any(|s| contains(doc_idx, s, sym)) {
-                        score += idf;
-                    }
-                }
-                if score <= 0.0 {
-                    continue;
-                }
-                let mut best_sentence = 0.0f64;
-                let mut best_pos = 0usize;
-                for (pos, s) in (start..end).enumerate() {
-                    let hit: f64 = query
-                        .iter()
-                        .filter(|&&(sym, _)| contains(doc_idx, s, sym))
-                        .map(|&(_, idf)| idf)
-                        .sum();
-                    if hit > best_sentence {
-                        best_sentence = hit;
-                        best_pos = pos;
-                    }
-                }
-                score += 0.5 * best_sentence;
-                let len = (end - start).max(1) as f64;
-                score += 0.01 * best_sentence * (1.0 - best_pos as f64 / len);
-                candidates.push((score, start, end - start));
-            }
-            candidates.sort_by(|a, b| {
-                b.0.partial_cmp(&a.0)
-                    .unwrap_or(Ordering::Equal)
-                    .then(a.1.cmp(&b.1))
-            });
-            let mut taken: Vec<(usize, usize)> = Vec::new();
-            for (score, start, len) in candidates {
-                if taken.len() == Self::PER_DOC {
-                    break;
-                }
-                let overlaps = taken.iter().any(|&(s, l)| start < s + l && s < start + len);
-                if overlaps {
-                    continue;
-                }
-                taken.push((start, len));
-                best.push(Passage {
-                    doc: DocId(doc_idx as u32),
-                    first_sentence: start,
-                    sentences: sents[start..start + len].to_vec(),
-                    score,
-                });
-            }
-        }
-        best.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(Ordering::Equal)
-                .then(a.doc.cmp(&b.doc))
-        });
-        best.truncate(k);
-        best
-    }
-
     /// Convenience: analyse a free-text query with the lexicon, then
     /// retrieve.
     pub fn retrieve_text(
@@ -680,6 +669,7 @@ impl PassageRetriever {
 mod tests {
     use super::*;
     use crate::document::{DocFormat, Document};
+    use crate::testing::retrieve_weighted_exhaustive;
     use proptest::prelude::*;
 
     fn setup(texts: &[&str], window: usize) -> (PassageRetriever, InvertedIndex, Lexicon) {
@@ -770,6 +760,40 @@ mod tests {
         assert!(stats.windows_scored >= 1);
     }
 
+    /// Every candidate is either scored or cut by the bound, and the
+    /// shared registry sees both counts.
+    #[test]
+    fn bound_counters_partition_the_candidates_and_reach_the_registry() {
+        let (pr, idx, _) = setup(
+            &[
+                "Rain in the morning.",
+                "Barcelona rain and Barcelona weather.",
+                "Weather report with rain.",
+                "Completely unrelated text about databases.",
+            ],
+            4,
+        );
+        let query = pr.compile_query(&idx, [("barcelona", 1.0), ("rain", 1.0), ("weather", 1.0)]);
+        let registry = std::sync::Arc::new(dwqa_obs::MetricsRegistry::new());
+        let guard = dwqa_obs::observe(Some(registry.clone()), None, "test", "retrieval");
+        let (passages, stats) = pr.retrieve_query(&query, 1);
+        drop(guard);
+        assert_eq!(passages[0].doc, DocId(1));
+        assert_eq!(stats.docs_candidate, 3);
+        assert_eq!(
+            stats.docs_scored, 1,
+            "the best-bounded document fills k = 1"
+        );
+        assert_eq!(stats.docs_bound_skipped, 2);
+        for (name, want) in [
+            (dwqa_obs::names::RETRIEVAL_DOCS_CANDIDATE, 3),
+            (dwqa_obs::names::RETRIEVAL_DOCS_SCORED, 1),
+            (dwqa_obs::names::RETRIEVAL_DOCS_BOUND_SKIPPED, 2),
+        ] {
+            assert_eq!(registry.counter_value(name), want, "{name}");
+        }
+    }
+
     #[test]
     fn compiled_query_drops_unknown_terms_and_merges_duplicates() {
         let (pr, idx, _) = setup(&["weather here. weather there."], 1);
@@ -858,8 +882,26 @@ mod tests {
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
         let (pr, idx, _) = setup(&refs, window);
         let pruned = pr.retrieve_weighted(&idx, terms, k);
-        let exhaustive = pr.retrieve_weighted_exhaustive(&idx, terms, k);
+        let exhaustive = retrieve_weighted_exhaustive(&pr, &idx, terms, k);
         assert_eq!(pruned, exhaustive, "window={window} k={k} terms={terms:?}");
+    }
+
+    /// Each distinct document repeated up to three times, the copies
+    /// spread out and the whole list rotated, so equal bounds and equal
+    /// scores occur across non-adjacent documents. Sentences are joined
+    /// by blank lines: the splitter does not break before a lowercase
+    /// word, and these documents are meant to have several sentences.
+    fn with_duplicates(docs: &[Vec<Vec<String>>], copies: &[usize], rotate: usize) -> Vec<String> {
+        let mut texts: Vec<String> = Vec::new();
+        for copy in 0..3 {
+            for (sents, _) in docs.iter().zip(copies).filter(|(_, &n)| copy < n) {
+                let text: Vec<String> = sents.iter().map(|w| format!("{}.", w.join(" "))).collect();
+                texts.push(text.join("\n\n"));
+            }
+        }
+        let by = rotate % texts.len();
+        texts.rotate_left(by);
+        texts
     }
 
     proptest! {
@@ -887,9 +929,133 @@ mod tests {
                 words.iter().map(|w| (w.clone(), 1.0)).collect();
             prop_assert_eq!(
                 pr.retrieve(&idx, &words, 5),
-                pr.retrieve_weighted_exhaustive(&idx, &weighted, 5)
+                retrieve_weighted_exhaustive(&pr, &idx, &weighted, 5)
             );
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The early exit under ties: small `k` over up to 39 documents,
+        /// many of them identical, so the heap fills long before the
+        /// last candidate and equal bounds meet equal scores.
+        #[test]
+        fn prop_early_exit_matches_exhaustive(
+            docs in proptest::collection::vec(
+                proptest::collection::vec(proptest::collection::vec(word(), 1..5), 1..7),
+                1..14,
+            ),
+            copies in proptest::collection::vec(1usize..4, 13),
+            rotate in 0usize..40,
+            terms in weighted_query(),
+            window in 1usize..5,
+            k in 1usize..8,
+        ) {
+            let texts = with_duplicates(&docs, &copies, rotate);
+            equivalent(&texts, &terms, window, k);
+            let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+            let (pr, idx, _) = setup(&refs, window);
+            let query = pr.compile_query(&idx, terms.iter().map(|(t, w)| (t.as_str(), *w)));
+            let (_, stats) = pr.retrieve_query(&query, k);
+            prop_assert_eq!(stats.docs_candidate, stats.docs_scored + stats.docs_bound_skipped);
+        }
+    }
+
+    /// Identical documents tie on bound and on score; the lower document
+    /// ids win, and the bound still cuts the weaker documents.
+    #[test]
+    fn equal_bounds_and_scores_rank_by_document_under_early_exit() {
+        let strong = "Barcelona weather today. Sky over Barcelona.";
+        let weak = "Weather somewhere else.";
+        let texts: Vec<String> = [weak, strong, weak, strong, strong, weak, strong]
+            .iter()
+            .map(|t| (*t).to_owned())
+            .collect();
+        let terms = vec![("barcelona".to_owned(), 3.0), ("weather".to_owned(), 1.0)];
+        for k in [1, 2, 3, 5] {
+            equivalent(&texts, &terms, 2, k);
+        }
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let (pr, idx, _) = setup(&refs, 2);
+        let query = pr.compile_query(&idx, terms.iter().map(|(t, w)| (t.as_str(), *w)));
+        let (passages, stats) = pr.retrieve_query(&query, 3);
+        let docs: Vec<DocId> = passages.iter().map(|p| p.doc).collect();
+        assert_eq!(docs, [DocId(1), DocId(3), DocId(4)]);
+        assert_eq!(stats.docs_candidate, 7);
+        assert_eq!(
+            stats.docs_scored, 4,
+            "every document tied on the bound is visited"
+        );
+        assert_eq!(stats.docs_bound_skipped, 3);
+    }
+
+    /// Negative and non-finite weights are rejected when the query is
+    /// compiled, and the reference rejects the same occurrences.
+    #[test]
+    fn unusable_weights_are_dropped_at_compile_time() {
+        let texts: Vec<String> = vec![
+            "Temperature in Barcelona. Rain all day. Sky clear.".to_owned(),
+            "Rain at the airport. Ticket sale.".to_owned(),
+            "Sky and weather. Barcelona sale.".to_owned(),
+        ];
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let (pr, idx, _) = setup(&refs, 2);
+        let terms = vec![
+            ("sky".to_owned(), -1.0),
+            ("barcelona".to_owned(), f64::NAN),
+            ("sale".to_owned(), f64::INFINITY),
+            ("rain".to_owned(), f64::NEG_INFINITY),
+            ("rain".to_owned(), 2.0),
+            ("temperature".to_owned(), 1.0),
+        ];
+        let usable = vec![("rain".to_owned(), 2.0), ("temperature".to_owned(), 1.0)];
+        let query = pr.compile_query(&idx, terms.iter().map(|(t, w)| (t.as_str(), *w)));
+        assert_eq!(query.len(), 2);
+        for k in [1, 2, 10] {
+            equivalent(&texts, &terms, 2, k);
+            let got = pr.retrieve_weighted(&idx, &terms, k);
+            assert_eq!(got, pr.retrieve_weighted(&idx, &usable, k));
+            assert!(got.iter().all(|p| p.score.is_finite() && p.score > 0.0));
+        }
+    }
+
+    #[test]
+    fn no_early_exit_when_k_exceeds_every_window() {
+        let texts: Vec<String> = vec![
+            "Temperature in Barcelona. Rain all day. Sky clear.".to_owned(),
+            "Rain at the airport.".to_owned(),
+            "Sky and weather.".to_owned(),
+        ];
+        let terms = vec![("rain".to_owned(), 1.0), ("sky".to_owned(), 1.0)];
+        equivalent(&texts, &terms, 1, 100);
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let (pr, idx, _) = setup(&refs, 1);
+        let query = pr.compile_query(&idx, terms.iter().map(|(t, w)| (t.as_str(), *w)));
+        let (passages, stats) = pr.retrieve_query(&query, 100);
+        assert_eq!(passages.len(), 4);
+        assert_eq!(stats.docs_scored, 3);
+        assert_eq!(stats.docs_bound_skipped, 0);
+    }
+
+    #[test]
+    fn zero_weight_only_term_yields_candidates_but_no_passages() {
+        let texts: Vec<String> = vec![
+            "Rain all day. Sky clear.".to_owned(),
+            "More rain.".to_owned(),
+        ];
+        let terms = vec![("rain".to_owned(), 0.0), ("volcano".to_owned(), 4.0)];
+        equivalent(&texts, &terms, 2, 3);
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let (pr, idx, _) = setup(&refs, 2);
+        let query = pr.compile_query(&idx, terms.iter().map(|(t, w)| (t.as_str(), *w)));
+        let (passages, stats) = pr.retrieve_query(&query, 3);
+        assert!(passages.is_empty());
+        assert_eq!(stats.docs_candidate, 2);
+        assert_eq!(
+            stats.docs_candidate,
+            stats.docs_scored + stats.docs_bound_skipped
+        );
     }
 
     #[test]

@@ -40,6 +40,11 @@ pub const RETRIEVAL_DOCS_TOTAL: &str = "retrieval.docs.total";
 pub const RETRIEVAL_DOCS_CANDIDATE: &str = "retrieval.docs.candidate";
 /// Counter: documents pruned without scoring (summed).
 pub const RETRIEVAL_DOCS_PRUNED: &str = "retrieval.docs.pruned";
+/// Counter: candidate documents whose windows were scored (summed).
+pub const RETRIEVAL_DOCS_SCORED: &str = "retrieval.docs.scored";
+/// Counter: candidate documents cut by the score bound (summed);
+/// `candidate = scored + bound_skipped` per retrieval.
+pub const RETRIEVAL_DOCS_BOUND_SKIPPED: &str = "retrieval.docs.bound_skipped";
 /// Counter: passage windows actually scored (summed).
 pub const RETRIEVAL_WINDOWS_SCORED: &str = "retrieval.windows.scored";
 
