@@ -29,10 +29,6 @@ fn bench_index(c: &mut Criterion) {
     group.bench_function("index_build_sequential", |b| {
         b.iter(|| InvertedIndex::build(&lexicon, &store))
     });
-    group.bench_function("index_build_parallel_4", |b| {
-        b.iter(|| InvertedIndex::build_parallel(&lexicon, &store, 4))
-    });
-    let index = InvertedIndex::build(&lexicon, &store);
     let terms: Vec<String> = ["temperature", "january", "barcelona"]
         .iter()
         .map(|s| (*s).to_owned())
@@ -44,7 +40,7 @@ fn bench_index(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("passage_retrieval_window", window),
             &window,
-            |b, _| b.iter(|| retriever.retrieve(&index, std::hint::black_box(&terms), 5)),
+            |b, _| b.iter(|| retriever.retrieve(std::hint::black_box(&terms), 5)),
         );
     }
     group.finish();

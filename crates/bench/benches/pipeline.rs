@@ -45,13 +45,10 @@ fn bench_pipeline(c: &mut Criterion) {
         )
     });
 
-    // QA indexation: sequential vs parallel.
+    // QA indexation on its own (one pass: analyses + passage postings).
     let lexicon = dwqa_nlp::Lexicon::english();
     group.bench_function("qa_indexation_sequential", |b| {
         b.iter(|| dwqa_qa::QaIndex::build(&lexicon, &store, 8))
-    });
-    group.bench_function("qa_indexation_parallel_4", |b| {
-        b.iter(|| dwqa_qa::QaIndex::build_with_threads(&lexicon, &store, 8, 4))
     });
 
     let pipeline = IntegrationPipeline::build(

@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dwqa_bench::{build_corpus, FixtureConfig};
 use dwqa_ir::testing::retrieve_weighted_exhaustive;
-use dwqa_ir::{InvertedIndex, PassageRetriever};
+use dwqa_ir::PassageRetriever;
 use dwqa_nlp::Lexicon;
 
 /// The weighted terms of a typical dated question ("What is the
@@ -28,31 +28,29 @@ fn query_terms() -> Vec<(String, f64)> {
     ]
 }
 
-fn corpus_with_distractors(distractors: usize) -> (Lexicon, InvertedIndex, PassageRetriever) {
+fn corpus_with_distractors(distractors: usize) -> PassageRetriever {
     let lexicon = Lexicon::english();
     let (store, _) = build_corpus(&FixtureConfig {
         distractors,
         ..FixtureConfig::default()
     });
-    let index = InvertedIndex::build(&lexicon, &store);
-    let retriever = PassageRetriever::build(&lexicon, &store, PassageRetriever::DEFAULT_WINDOW);
-    (lexicon, index, retriever)
+    PassageRetriever::build(&lexicon, &store, PassageRetriever::DEFAULT_WINDOW)
 }
 
 fn bench_pruned_vs_exhaustive(c: &mut Criterion) {
-    let (_lx, index, retriever) = corpus_with_distractors(100);
+    let retriever = corpus_with_distractors(100);
     let terms = query_terms();
     let mut group = c.benchmark_group("retrieval");
     group.sample_size(20);
     group.bench_function("exhaustive_reference", |b| {
-        b.iter(|| retrieve_weighted_exhaustive(&retriever, &index, std::hint::black_box(&terms), 5))
+        b.iter(|| retrieve_weighted_exhaustive(&retriever, std::hint::black_box(&terms), 5))
     });
     // Cold: compile the query (vocabulary lookups + idf) every call.
     group.bench_function("pruned_cold", |b| {
-        b.iter(|| retriever.retrieve_weighted(&index, std::hint::black_box(&terms), 5))
+        b.iter(|| retriever.retrieve_weighted(std::hint::black_box(&terms), 5))
     });
     // Warm: the compiled-query hot path on its own.
-    let query = retriever.compile_query(&index, terms.iter().map(|(t, w)| (t.as_str(), *w)));
+    let query = retriever.compile_query(terms.iter().map(|(t, w)| (t.as_str(), *w)));
     group.bench_function("pruned_warm", |b| {
         b.iter(|| retriever.retrieve_query(std::hint::black_box(&query), 5))
     });
@@ -65,19 +63,16 @@ fn bench_window_sweep(c: &mut Criterion) {
         distractors: 100,
         ..FixtureConfig::default()
     });
-    let index = InvertedIndex::build(&lexicon, &store);
     let terms = query_terms();
     let mut group = c.benchmark_group("retrieval_window");
     group.sample_size(20);
     for window in [4usize, 8, 16] {
         let retriever = PassageRetriever::build(&lexicon, &store, window);
         group.bench_with_input(BenchmarkId::new("pruned", window), &window, |b, _| {
-            b.iter(|| retriever.retrieve_weighted(&index, std::hint::black_box(&terms), 5))
+            b.iter(|| retriever.retrieve_weighted(std::hint::black_box(&terms), 5))
         });
         group.bench_with_input(BenchmarkId::new("exhaustive", window), &window, |b, _| {
-            b.iter(|| {
-                retrieve_weighted_exhaustive(&retriever, &index, std::hint::black_box(&terms), 5)
-            })
+            b.iter(|| retrieve_weighted_exhaustive(&retriever, std::hint::black_box(&terms), 5))
         });
     }
     group.finish();
@@ -88,24 +83,17 @@ fn bench_corpus_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("retrieval_corpus");
     group.sample_size(20);
     for distractors in [0usize, 50, 200] {
-        let (_lx, index, retriever) = corpus_with_distractors(distractors);
+        let retriever = corpus_with_distractors(distractors);
         group.bench_with_input(
             BenchmarkId::new("pruned", distractors),
             &distractors,
-            |b, _| b.iter(|| retriever.retrieve_weighted(&index, std::hint::black_box(&terms), 5)),
+            |b, _| b.iter(|| retriever.retrieve_weighted(std::hint::black_box(&terms), 5)),
         );
         group.bench_with_input(
             BenchmarkId::new("exhaustive", distractors),
             &distractors,
             |b, _| {
-                b.iter(|| {
-                    retrieve_weighted_exhaustive(
-                        &retriever,
-                        &index,
-                        std::hint::black_box(&terms),
-                        5,
-                    )
-                })
+                b.iter(|| retrieve_weighted_exhaustive(&retriever, std::hint::black_box(&terms), 5))
             },
         );
     }

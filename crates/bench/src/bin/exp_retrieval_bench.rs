@@ -16,7 +16,7 @@
 use dwqa_bench::{build_corpus, section, FixtureConfig};
 use dwqa_common::Month;
 use dwqa_ir::testing::retrieve_weighted_exhaustive;
-use dwqa_ir::{InvertedIndex, PassageRetriever};
+use dwqa_ir::PassageRetriever;
 use dwqa_nlp::Lexicon;
 use serde::Serialize;
 use std::time::Instant;
@@ -107,27 +107,26 @@ fn measure(months: usize, distractors: usize, window: usize, iters: u32) -> Meas
         distractors,
         ..FixtureConfig::default()
     });
-    let index = InvertedIndex::build(&lexicon, &store);
     let retriever = PassageRetriever::build(&lexicon, &store, window);
     let terms = if months > 1 {
         dated_query_terms()
     } else {
         query_terms()
     };
-    let query = retriever.compile_query(&index, terms.iter().map(|(t, w)| (t.as_str(), *w)));
+    let query = retriever.compile_query(terms.iter().map(|(t, w)| (t.as_str(), *w)));
 
     // Sanity: the served path must return exactly the reference results.
     let (pruned, stats) = retriever.retrieve_query(&query, K);
-    let exhaustive = retrieve_weighted_exhaustive(&retriever, &index, &terms, K);
+    let exhaustive = retrieve_weighted_exhaustive(&retriever, &terms, K);
     assert_eq!(
         pruned, exhaustive,
         "pruned retrieval diverged from the exhaustive reference"
     );
 
     let exhaustive_us = time_us(iters, || {
-        retrieve_weighted_exhaustive(&retriever, &index, &terms, K)
+        retrieve_weighted_exhaustive(&retriever, &terms, K)
     });
-    let pruned_us = time_us(iters, || retriever.retrieve_weighted(&index, &terms, K));
+    let pruned_us = time_us(iters, || retriever.retrieve_weighted(&terms, K));
 
     Measurement {
         months,

@@ -2,7 +2,8 @@
 
 use crate::document::{DocId, DocumentStore};
 use dwqa_common::{Interner, Symbol};
-use dwqa_nlp::{is_stopword, lemmatize_with, tag_sentence, tokenize, Lexicon};
+use dwqa_nlp::{is_stopword, lemmatize_with, tag_sentence, tokenize, Lexicon, Pos, TaggedToken};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// One posting: a document and the term's frequency in it.
@@ -28,86 +29,70 @@ pub struct InvertedIndex {
     total_len: u64,
 }
 
-/// Normalises raw text into index terms: tokenize → tag (for lemmas) →
-/// case-fold → drop stop words and punctuation.
+/// Splits `text` into sentences and tags each one — the only place this
+/// crate runs the tokenizer and the tagger.
+pub(crate) fn tag_text<'a>(
+    lexicon: &'a Lexicon,
+    text: &str,
+) -> impl Iterator<Item = (String, Vec<TaggedToken>)> + 'a {
+    dwqa_nlp::split_sentences(text)
+        .into_iter()
+        .map(move |sentence| {
+            let tagged = tag_sentence(lexicon, &tokenize(&sentence));
+            (sentence, tagged)
+        })
+}
+
+/// The index terms of one tagged sentence, in token order: punctuation
+/// and symbols are dropped, each remaining token contributes its lemma
+/// (the lemmatizer's, where the tagger left none), and stop words are
+/// dropped. This is the one definition of an index term: [`index_terms`],
+/// [`InvertedIndex`] and the passage postings (whether built from a
+/// document store or from the QA indexation's analyses) all go through it.
+pub fn tagged_terms<'a>(
+    lexicon: &'a Lexicon,
+    tokens: &'a [TaggedToken],
+) -> impl Iterator<Item = Cow<'a, str>> + 'a {
+    tokens
+        .iter()
+        .filter(|t| !matches!(t.pos, Pos::PUNCT | Pos::SENT | Pos::SYM))
+        .map(move |t| {
+            if t.lemma.is_empty() {
+                Cow::Owned(lemmatize_with(lexicon, &t.token.text, t.pos))
+            } else {
+                Cow::Borrowed(t.lemma.as_str())
+            }
+        })
+        .filter(|lemma| !is_stopword(lemma))
+}
+
+/// Normalises raw text into index terms: split into sentences → tokenize
+/// → tag (for lemmas) → [`tagged_terms`].
 pub fn index_terms(lexicon: &Lexicon, text: &str) -> Vec<String> {
     let mut terms = Vec::new();
-    for sentence in dwqa_nlp::split_sentences(text) {
-        for t in tag_sentence(lexicon, &tokenize(&sentence)) {
-            if matches!(
-                t.pos,
-                dwqa_nlp::Pos::PUNCT | dwqa_nlp::Pos::SENT | dwqa_nlp::Pos::SYM
-            ) {
-                continue;
-            }
-            // The tagged token is owned, so the lemma moves out for free;
-            // only the lemmatizer fallback builds a fresh string.
-            let lemma = if t.lemma.is_empty() {
-                lemmatize_with(lexicon, &t.token.text, t.pos)
-            } else {
-                t.lemma
-            };
-            if is_stopword(&lemma) {
-                continue;
-            }
-            terms.push(lemma);
-        }
+    for (_, tagged) in tag_text(lexicon, text) {
+        terms.extend(tagged_terms(lexicon, &tagged).map(Cow::into_owned));
     }
     terms
 }
 
+/// Smoothed inverse document frequency (BM25 formulation) of a term held
+/// by `df` of `num_docs` documents; always > 0.
+pub(crate) fn bm25_idf(num_docs: usize, df: usize) -> f64 {
+    let n = num_docs as f64;
+    let df = df as f64;
+    ((n - df + 0.5) / (df + 0.5) + 1.0).ln()
+}
+
 impl InvertedIndex {
-    /// Builds the index over a document store, sequentially.
+    /// Builds the index over a document store.
     pub fn build(lexicon: &Lexicon, store: &DocumentStore) -> InvertedIndex {
-        let per_doc: Vec<Vec<String>> = store
-            .iter()
-            .map(|(_, d)| index_terms(lexicon, &d.text))
-            .collect();
-        Self::assemble(per_doc)
-    }
-
-    /// Builds the index using `threads` worker threads (crossbeam scoped
-    /// threads; document analysis dominates build time and is
-    /// embarrassingly parallel).
-    pub fn build_parallel(
-        lexicon: &Lexicon,
-        store: &DocumentStore,
-        threads: usize,
-    ) -> InvertedIndex {
-        let threads = threads.max(1);
-        let docs: Vec<&str> = store.iter().map(|(_, d)| d.text.as_str()).collect();
-        let chunk = docs.len().div_ceil(threads).max(1);
-        // Each worker returns its chunk through its join handle; joining
-        // in spawn order reassembles the per-doc results lock-free.
-        let per_doc = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = docs
-                .chunks(chunk)
-                .map(|chunk_docs| {
-                    scope.spawn(move |_| {
-                        chunk_docs
-                            .iter()
-                            .map(|text| index_terms(lexicon, text))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let mut per_doc: Vec<Vec<String>> = Vec::with_capacity(docs.len());
-            for handle in handles {
-                per_doc.extend(handle.join().expect("index worker thread panicked"));
-            }
-            per_doc
-        })
-        .expect("index worker thread panicked");
-        Self::assemble(per_doc)
-    }
-
-    fn assemble(per_doc: Vec<Vec<String>>) -> InvertedIndex {
         let mut vocabulary = Interner::new();
         let mut postings: HashMap<Symbol, Vec<Posting>> = HashMap::new();
-        let mut doc_lengths = Vec::with_capacity(per_doc.len());
+        let mut doc_lengths = Vec::with_capacity(store.len());
         let mut total_len = 0u64;
-        for (i, terms) in per_doc.into_iter().enumerate() {
-            let doc = DocId(i as u32);
+        for (doc, d) in store.iter() {
+            let terms = index_terms(lexicon, &d.text);
             doc_lengths.push(terms.len() as u32);
             total_len += terms.len() as u64;
             let mut counts: HashMap<Symbol, u32> = HashMap::new();
@@ -167,9 +152,7 @@ impl InvertedIndex {
 
     /// Smoothed inverse document frequency (BM25 formulation).
     pub fn idf(&self, term: &str) -> f64 {
-        let n = self.num_docs() as f64;
-        let df = self.df(term) as f64;
-        ((n - df + 0.5) / (df + 0.5) + 1.0).ln()
+        bm25_idf(self.num_docs(), self.df(term))
     }
 }
 
@@ -177,6 +160,7 @@ impl InvertedIndex {
 mod tests {
     use super::*;
     use crate::document::{DocFormat, Document};
+    use proptest::prelude::*;
 
     fn store(texts: &[&str]) -> DocumentStore {
         let mut s = DocumentStore::new();
@@ -191,6 +175,39 @@ mod tests {
         let lx = Lexicon::english();
         let terms = index_terms(&lx, "The temperatures in the skies were rising.");
         assert_eq!(terms, ["temperature", "sky", "rise"]);
+    }
+
+    /// Surface forms the corpus generators emit, plus a few they do not,
+    /// separated by single spaces (the last one is a line break).
+    const TOKENS: &str = "The temperatures in Barcelona Málaga were rising 8º C 46.4 F 12th \
+        January 2004 , : ( ) % $ -3 skies El Prat may JFK flights cheaper was sold e.g. Dr. No. \
+        what ? ! . \n";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One definition of an index term: for every sentence the
+        /// splitter cuts out of a text — the unit the QA indexation
+        /// analyses and the passage postings number — the filter over its
+        /// tagged tokens is what `index_terms` makes of its text.
+        #[test]
+        fn prop_tagged_terms_equal_index_terms_on_single_sentences(
+            picks in proptest::collection::vec(0usize..64, 0..24),
+            noise in "\\PC{0,40}",
+        ) {
+            let lx = Lexicon::english();
+            let tokens: Vec<&str> = TOKENS.split(' ').collect();
+            let words: Vec<&str> = picks.iter().map(|&i| tokens[i % tokens.len()]).collect();
+            for text in [words.join(" ").as_str(), noise.as_str()] {
+                for sentence in dwqa_nlp::split_sentences(text) {
+                    let analysed = dwqa_nlp::analyze_sentence(&lx, &sentence);
+                    let terms: Vec<String> = tagged_terms(&lx, &analysed.tokens)
+                        .map(Cow::into_owned)
+                        .collect();
+                    prop_assert_eq!(terms, index_terms(&lx, &sentence), "{:?}", sentence);
+                }
+            }
+        }
     }
 
     #[test]
@@ -235,23 +252,6 @@ mod tests {
         assert_eq!(idx.doc_len(DocId(0)), 2);
         assert_eq!(idx.doc_len(DocId(1)), 1);
         assert!((idx.avg_doc_len() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let lx = Lexicon::english();
-        let texts: Vec<String> = (0..40)
-            .map(|i| format!("weather in city number {i} with temperature {i} degrees"))
-            .collect();
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let s = store(&refs);
-        let seq = InvertedIndex::build(&lx, &s);
-        let par = InvertedIndex::build_parallel(&lx, &s, 4);
-        assert_eq!(seq.num_docs(), par.num_docs());
-        assert_eq!(seq.num_terms(), par.num_terms());
-        for term in ["weather", "city", "temperature", "degree"] {
-            assert_eq!(seq.postings(term), par.postings(term), "term {term}");
-        }
     }
 
     #[test]

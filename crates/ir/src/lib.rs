@@ -9,15 +9,19 @@
 //! * [`document`] — the document model (URL, format, text) with HTML/XML
 //!   text extraction ("our approach handles any kind of unstructured data
 //!   (e.g. XML, HTML or PDF)") and an append-only [`document::DocumentStore`];
-//! * [`index`] — an inverted index over case-folded, stopped, lemmatised
-//!   terms, with optional parallel construction (crossbeam scoped threads);
+//! * [`index`] — the one definition of an index term (case-folded,
+//!   stopped, lemmatised: [`index::tagged_terms`]) and the document-level
+//!   inverted index over it, which [`search`] and [`mdir`] rank whole
+//!   documents with;
 //! * [`search`] — ranked document retrieval (Okapi BM25 and TF-IDF cosine);
 //! * [`passage`] — the IR-n passage retrieval used by AliQAn's Module 2,
-//!   driven by interned sentence-level postings: queries compile once into
-//!   a [`passage::PassageQuery`], candidate documents and a score bound
-//!   for each come from the postings, and only documents that can still
-//!   reach the top `k` are scored ([`passage::RetrievalStats`] reports
-//!   the pruning);
+//!   driven by interned sentence-level postings built from already-tagged
+//!   sentences (its own pass over a document store, or the analyses the
+//!   QA indexation keeps): queries compile once into a
+//!   [`passage::PassageQuery`] weighted by the IDF the postings themselves
+//!   give, candidate documents and a score bound for each come from the
+//!   postings, and only documents that can still reach the top `k` are
+//!   scored ([`passage::RetrievalStats`] reports the pruning);
 //! * [`mdir`] — the multidimensional-IR **baseline** of McCabe et al.
 //!   (SIGIR 2000, the paper's reference [11]): documents categorised along
 //!   location × time dimensions, filtered OLAP-style before term search;
@@ -25,15 +29,14 @@
 //!   tested and benchmarked against.
 
 //! ```
-//! use dwqa_ir::{Document, DocumentStore, DocFormat, InvertedIndex, PassageRetriever};
+//! use dwqa_ir::{Document, DocumentStore, DocFormat, PassageRetriever};
 //! use dwqa_nlp::Lexicon;
 //!
 //! let lexicon = Lexicon::english();
 //! let mut store = DocumentStore::new();
 //! store.add(Document::new("u", DocFormat::Plain, "", "The temperature in Barcelona was mild."));
-//! let index = InvertedIndex::build(&lexicon, &store);
 //! let retriever = PassageRetriever::build(&lexicon, &store, 8);
-//! let passages = retriever.retrieve_text(&index, &lexicon, "Barcelona temperature", 1);
+//! let passages = retriever.retrieve_text(&lexicon, "Barcelona temperature", 1);
 //! assert_eq!(passages.len(), 1);
 //! ```
 

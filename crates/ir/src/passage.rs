@@ -10,8 +10,11 @@
 //!
 //! Retrieval is driven by **sentence-level postings** (`Symbol →
 //! sentences`, grouped into one run per document, built once at index
-//! time), in the spirit of classic inverted-file top-k query evaluation:
-//! a query is compiled once into interned symbols with IDF-scaled
+//! time from already-tagged sentences — [`PassageRetriever::from_tagged`]),
+//! in the spirit of classic inverted-file top-k query evaluation. The
+//! postings also give each term's IDF: one run per document holding the
+//! term means the run count is its document frequency. A query is
+//! compiled once into interned symbols with IDF-scaled
 //! weights ([`PassageQuery`]); the runs of its terms give the candidate
 //! documents and, per candidate, an upper bound on the score of any of
 //! its windows; candidates are visited best bound first and the visit
@@ -23,9 +26,11 @@
 //! equivalence tests and the `benches/retrieval.rs` baseline run against.
 
 use crate::document::{DocId, DocumentStore};
-use crate::index::{index_terms, InvertedIndex};
+use crate::index::{bm25_idf, index_terms, tag_text, tagged_terms};
+use dwqa_common::text::fold_cow;
 use dwqa_common::{Interner, Symbol};
-use dwqa_nlp::Lexicon;
+use dwqa_nlp::{Lexicon, TaggedToken};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -191,6 +196,8 @@ pub struct PassageRetriever {
     pub(crate) sentences: Vec<Vec<String>>,
     /// Per symbol (by index): the sentence-level postings.
     postings: Vec<TermPostings>,
+    /// Per symbol (by index): the term's IDF over this corpus.
+    idf: Vec<f64>,
     /// Window size in sentences (the paper uses 8).
     window: usize,
 }
@@ -203,67 +210,39 @@ impl PassageRetriever {
     /// document (a month-long weather page has several relevant spots).
     pub(crate) const PER_DOC: usize = 3;
 
-    /// Builds the retriever over a document store, sequentially.
+    /// Builds the retriever over a document store: splits and tags each
+    /// document, then [`PassageRetriever::from_tagged`].
     pub fn build(lexicon: &Lexicon, store: &DocumentStore, window: usize) -> PassageRetriever {
-        let per_doc: Vec<_> = store
-            .iter()
-            .map(|(_, doc)| Self::analyze_doc(lexicon, &doc.text))
-            .collect();
-        Self::assemble(per_doc, window)
+        Self::from_tagged(
+            lexicon,
+            store.iter().map(|(_, doc)| tag_text(lexicon, &doc.text)),
+            window,
+        )
     }
 
-    /// Builds the retriever using `threads` worker threads. Sentence
-    /// analysis dominates build time and is embarrassingly parallel;
-    /// assembly (interning + postings) is sequential and cheap. Produces
-    /// exactly the same structure as [`PassageRetriever::build`].
-    pub fn build_parallel(
-        lexicon: &Lexicon,
-        store: &DocumentStore,
-        window: usize,
-        threads: usize,
-    ) -> PassageRetriever {
-        let threads = threads.max(1);
-        let docs: Vec<&str> = store.iter().map(|(_, d)| d.text.as_str()).collect();
-        let chunk = docs.len().div_ceil(threads).max(1);
-        let per_doc = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = docs
-                .chunks(chunk)
-                .map(|chunk_docs| {
-                    scope.spawn(move |_| {
-                        chunk_docs
-                            .iter()
-                            .map(|text| Self::analyze_doc(lexicon, text))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let mut per_doc = Vec::with_capacity(docs.len());
-            for handle in handles {
-                per_doc.extend(handle.join().expect("passage worker thread panicked"));
-            }
-            per_doc
-        })
-        .expect("passage worker thread panicked");
-        Self::assemble(per_doc, window)
-    }
-
-    /// Splits one document into sentences and their index terms.
-    fn analyze_doc(lexicon: &Lexicon, text: &str) -> (Vec<String>, Vec<Vec<String>>) {
-        let sents = dwqa_nlp::split_sentences(text);
-        let terms: Vec<Vec<String>> = sents.iter().map(|s| index_terms(lexicon, s)).collect();
-        (sents, terms)
-    }
-
-    /// Interns every sentence's terms and builds the postings with
-    /// their per-document runs.
-    fn assemble(per_doc: Vec<(Vec<String>, Vec<Vec<String>>)>, window: usize) -> PassageRetriever {
+    /// Builds the retriever over already-tagged sentences: `docs` yields
+    /// the documents in [`DocId`] order, each one its sentences in order
+    /// as `(text, tagged tokens)`. Sentence `i` of a document is sentence
+    /// `i` of every [`Passage`] cut from it, so a caller that keeps the
+    /// analyses it passes in (the QA indexation) can address them by
+    /// [`Passage::first_sentence`]. One document is posted at a time; the
+    /// index terms of a sentence are its [`tagged_terms`].
+    pub fn from_tagged<D, S, T>(lexicon: &Lexicon, docs: D, window: usize) -> PassageRetriever
+    where
+        D: IntoIterator<Item = S>,
+        S: IntoIterator<Item = (String, T)>,
+        T: Borrow<[TaggedToken]>,
+    {
         let mut vocabulary = Interner::new();
-        let mut sentences = Vec::with_capacity(per_doc.len());
+        let mut sentences: Vec<Vec<String>> = Vec::new();
         let mut postings: Vec<TermPostings> = Vec::new();
-        for (doc, (sents, term_lists)) in per_doc.into_iter().enumerate() {
+        let mut syms: Vec<Symbol> = Vec::new();
+        for (doc, tagged) in docs.into_iter().enumerate() {
             let doc = doc as u32;
-            for (sent, terms) in term_lists.into_iter().enumerate() {
-                let mut syms: Vec<Symbol> = terms.iter().map(|t| vocabulary.intern(t)).collect();
+            let mut sents = Vec::new();
+            for (sent, (text, tokens)) in tagged.into_iter().enumerate() {
+                syms.clear();
+                syms.extend(tagged_terms(lexicon, tokens.borrow()).map(|t| vocabulary.intern(&t)));
                 syms.sort_unstable();
                 syms.dedup();
                 postings.resize(vocabulary.len(), TermPostings::default());
@@ -280,13 +259,21 @@ impl PassageRetriever {
                     }
                     term.sents.push(sent as u32);
                 }
+                sents.push(text);
             }
             sentences.push(sents);
         }
+        // A term has one run per document holding it, so the run count is
+        // its document frequency.
+        let idf = postings
+            .iter()
+            .map(|term| bm25_idf(sentences.len(), term.runs.len()))
+            .collect();
         PassageRetriever {
             vocabulary,
             sentences,
             postings,
+            idf,
             window: window.max(1),
         }
     }
@@ -306,24 +293,49 @@ impl PassageRetriever {
         self.vocabulary.len()
     }
 
+    /// The sentences of document `doc`, in the numbering
+    /// [`Passage::first_sentence`] uses.
+    pub fn doc_sentences(&self, doc: DocId) -> &[String] {
+        &self.sentences[doc.index()]
+    }
+
+    /// Resolves a term against the vocabulary after case folding, like
+    /// [`crate::InvertedIndex::postings`]; already-folded terms (index
+    /// lemmas, the QA side's query terms) are looked up without
+    /// allocating.
+    fn symbol(&self, term: &str) -> Option<Symbol> {
+        self.vocabulary.get(&fold_cow(term))
+    }
+
+    /// Smoothed inverse document frequency (BM25 formulation) of a term
+    /// over the indexed documents — bit for bit what
+    /// [`crate::InvertedIndex::idf`] returns over the same store.
+    pub fn idf(&self, term: &str) -> f64 {
+        match self.symbol(term) {
+            Some(sym) => self.idf[sym.index()],
+            None => bm25_idf(self.sentences.len(), 0),
+        }
+    }
+
     /// The sentences of document `doc` that hold `term`, ascending — the
     /// view of the postings the exhaustive reference in
     /// [`crate::testing`] tests membership against.
     pub(crate) fn sentences_holding(&self, term: &str, doc: u32) -> &[u32] {
-        match self.vocabulary.get(term) {
+        match self.symbol(term) {
             Some(sym) => self.postings[sym.index()].sentences_in(doc),
             None => &[],
         }
     }
 
-    /// Compiles a weighted term sequence into a [`PassageQuery`]:
-    /// duplicates are merged (max weight, first-occurrence order kept),
-    /// out-of-vocabulary terms and occurrences with an unusable weight
-    /// ([`usable_weight`]) are dropped, and each surviving term's weight
-    /// is scaled by its IDF from `index` (which is > 0). No strings are
-    /// cloned or interned — terms are resolved against the existing
-    /// vocabulary.
-    pub fn compile_query<'a, I>(&self, index: &InvertedIndex, terms: I) -> PassageQuery
+    /// Compiles a weighted term sequence into a [`PassageQuery`]: terms
+    /// are case-folded, duplicates are merged (max weight,
+    /// first-occurrence order kept), out-of-vocabulary terms and
+    /// occurrences with an unusable weight ([`usable_weight`]) are
+    /// dropped, and each surviving term's weight is scaled by its IDF
+    /// (which is > 0). No strings are interned, and none are cloned
+    /// unless a term needs folding — terms are resolved against the
+    /// existing vocabulary.
+    pub fn compile_query<'a, I>(&self, terms: I) -> PassageQuery
     where
         I: IntoIterator<Item = (&'a str, f64)>,
     {
@@ -333,7 +345,7 @@ impl PassageRetriever {
             if !usable_weight(weight) {
                 continue;
             }
-            let Some(sym) = self.vocabulary.get(term) else {
+            let Some(sym) = self.symbol(term) else {
                 continue; // occurs in no sentence: contributes 0 everywhere
             };
             match slot.get(&sym) {
@@ -345,30 +357,25 @@ impl PassageRetriever {
             }
         }
         for (sym, weight) in &mut distinct {
-            *weight *= index.idf(self.vocabulary.resolve(*sym));
+            *weight *= self.idf[sym.index()];
         }
         PassageQuery { terms: distinct }
     }
 
     /// Retrieves the best passage of each matching document, ranked by
-    /// score; at most `k` passages. Scores are sums of the IDF (from
-    /// `index`) of the distinct query terms present in the window, so rare
-    /// terms ("barcelona") dominate frequent ones.
-    pub fn retrieve(&self, index: &InvertedIndex, terms: &[String], k: usize) -> Vec<Passage> {
-        let query = self.compile_query(index, terms.iter().map(|t| (t.as_str(), 1.0)));
+    /// score; at most `k` passages. Scores are sums of the IDF of the
+    /// distinct query terms present in the window, so rare terms
+    /// ("barcelona") dominate frequent ones.
+    pub fn retrieve(&self, terms: &[String], k: usize) -> Vec<Passage> {
+        let query = self.compile_query(terms.iter().map(|t| (t.as_str(), 1.0)));
         self.retrieve_query(&query, k).0
     }
 
     /// Like [`PassageRetriever::retrieve`], with a per-term weight
     /// multiplying the term's IDF. The QA side uses this to make the
     /// question's *date* terms dominate window selection.
-    pub fn retrieve_weighted(
-        &self,
-        index: &InvertedIndex,
-        terms: &[(String, f64)],
-        k: usize,
-    ) -> Vec<Passage> {
-        let query = self.compile_query(index, terms.iter().map(|(t, w)| (t.as_str(), *w)));
+    pub fn retrieve_weighted(&self, terms: &[(String, f64)], k: usize) -> Vec<Passage> {
+        let query = self.compile_query(terms.iter().map(|(t, w)| (t.as_str(), *w)));
         self.retrieve_query(&query, k).0
     }
 
@@ -654,14 +661,8 @@ impl PassageRetriever {
 
     /// Convenience: analyse a free-text query with the lexicon, then
     /// retrieve.
-    pub fn retrieve_text(
-        &self,
-        index: &InvertedIndex,
-        lexicon: &Lexicon,
-        query: &str,
-        k: usize,
-    ) -> Vec<Passage> {
-        self.retrieve(index, &index_terms(lexicon, query), k)
+    pub fn retrieve_text(&self, lexicon: &Lexicon, query: &str, k: usize) -> Vec<Passage> {
+        self.retrieve(&index_terms(lexicon, query), k)
     }
 }
 
@@ -672,14 +673,13 @@ mod tests {
     use crate::testing::retrieve_weighted_exhaustive;
     use proptest::prelude::*;
 
-    fn setup(texts: &[&str], window: usize) -> (PassageRetriever, InvertedIndex, Lexicon) {
+    fn setup(texts: &[&str], window: usize) -> (PassageRetriever, Lexicon) {
         let lx = Lexicon::english();
         let mut s = DocumentStore::new();
         for (i, t) in texts.iter().enumerate() {
             s.add(Document::new(&format!("doc{i}"), DocFormat::Plain, "", t));
         }
-        let idx = InvertedIndex::build(&lx, &s);
-        (PassageRetriever::build(&lx, &s, window), idx, lx)
+        (PassageRetriever::build(&lx, &s, window), lx)
     }
 
     #[test]
@@ -688,8 +688,8 @@ mod tests {
             Filler sentence four. The temperature in Barcelona was 8 degrees. \
             January readings were mild. Filler sentence five. Filler sentence six. \
             Filler sentence seven. Filler sentence eight. Filler sentence nine.";
-        let (pr, idx, lx) = setup(&[long_doc], 2);
-        let passages = pr.retrieve_text(&idx, &lx, "temperature Barcelona January", 3);
+        let (pr, lx) = setup(&[long_doc], 2);
+        let passages = pr.retrieve_text(&lx, "temperature Barcelona January", 3);
         assert_eq!(passages.len(), 1);
         let text = passages[0].text();
         assert!(text.contains("Barcelona"));
@@ -699,8 +699,8 @@ mod tests {
 
     #[test]
     fn window_never_exceeds_document() {
-        let (pr, idx, lx) = setup(&["Only one sentence about weather."], 8);
-        let passages = pr.retrieve_text(&idx, &lx, "weather", 3);
+        let (pr, lx) = setup(&["Only one sentence about weather."], 8);
+        let passages = pr.retrieve_text(&lx, "weather", 3);
         assert_eq!(passages.len(), 1);
         assert_eq!(passages[0].sentences.len(), 1);
         assert_eq!(passages[0].first_sentence, 0);
@@ -708,7 +708,7 @@ mod tests {
 
     #[test]
     fn one_passage_per_document_ranked_across_documents() {
-        let (pr, idx, lx) = setup(
+        let (pr, lx) = setup(
             &[
                 "The weather is nice. Nothing else here.",
                 "Barcelona weather today. The temperature in Barcelona is 8 degrees.",
@@ -716,7 +716,7 @@ mod tests {
             ],
             8,
         );
-        let passages = pr.retrieve_text(&idx, &lx, "temperature Barcelona weather", 5);
+        let passages = pr.retrieve_text(&lx, "temperature Barcelona weather", 5);
         assert_eq!(passages.len(), 2);
         assert_eq!(passages[0].doc, DocId(1));
         assert!(passages[0].score > passages[1].score);
@@ -724,15 +724,15 @@ mod tests {
 
     #[test]
     fn no_matching_terms_no_passages() {
-        let (pr, idx, lx) = setup(&["The weather is nice."], 8);
-        assert!(pr.retrieve_text(&idx, &lx, "volcano", 3).is_empty());
+        let (pr, lx) = setup(&["The weather is nice."], 8);
+        assert!(pr.retrieve_text(&lx, "volcano", 3).is_empty());
     }
 
     #[test]
     fn duplicate_query_terms_do_not_double_count() {
-        let (pr, idx, _) = setup(&["weather here. weather there."], 1);
-        let a = pr.retrieve(&idx, &["weather".to_owned()], 1);
-        let b = pr.retrieve(&idx, &["weather".to_owned(), "weather".to_owned()], 1);
+        let (pr, _) = setup(&["weather here. weather there."], 1);
+        let a = pr.retrieve(&["weather".to_owned()], 1);
+        let b = pr.retrieve(&["weather".to_owned(), "weather".to_owned()], 1);
         assert_eq!(a[0].score, b[0].score);
     }
 
@@ -743,7 +743,7 @@ mod tests {
 
     #[test]
     fn pruning_counters_report_untouched_documents() {
-        let (pr, idx, _) = setup(
+        let (pr, _) = setup(
             &[
                 "Barcelona weather today.",
                 "Completely unrelated text about databases.",
@@ -751,7 +751,7 @@ mod tests {
             ],
             4,
         );
-        let query = pr.compile_query(&idx, [("barcelona", 1.0)]);
+        let query = pr.compile_query([("barcelona", 1.0)]);
         let (passages, stats) = pr.retrieve_query(&query, 5);
         assert_eq!(passages.len(), 1);
         assert_eq!(stats.docs_total, 3);
@@ -764,7 +764,7 @@ mod tests {
     /// shared registry sees both counts.
     #[test]
     fn bound_counters_partition_the_candidates_and_reach_the_registry() {
-        let (pr, idx, _) = setup(
+        let (pr, _) = setup(
             &[
                 "Rain in the morning.",
                 "Barcelona rain and Barcelona weather.",
@@ -773,7 +773,7 @@ mod tests {
             ],
             4,
         );
-        let query = pr.compile_query(&idx, [("barcelona", 1.0), ("rain", 1.0), ("weather", 1.0)]);
+        let query = pr.compile_query([("barcelona", 1.0), ("rain", 1.0), ("weather", 1.0)]);
         let registry = std::sync::Arc::new(dwqa_obs::MetricsRegistry::new());
         let guard = dwqa_obs::observe(Some(registry.clone()), None, "test", "retrieval");
         let (passages, stats) = pr.retrieve_query(&query, 1);
@@ -796,36 +796,38 @@ mod tests {
 
     #[test]
     fn compiled_query_drops_unknown_terms_and_merges_duplicates() {
-        let (pr, idx, _) = setup(&["weather here. weather there."], 1);
-        let query = pr.compile_query(&idx, [("weather", 1.0), ("volcano", 9.0), ("weather", 3.0)]);
+        let (pr, _) = setup(&["weather here. weather there."], 1);
+        let query = pr.compile_query([("weather", 1.0), ("volcano", 9.0), ("weather", 3.0)]);
         assert_eq!(query.len(), 1);
-        let empty = pr.compile_query(&idx, [("volcano", 1.0)]);
+        let empty = pr.compile_query([("volcano", 1.0)]);
         assert!(empty.is_empty());
         assert!(pr.retrieve_query(&empty, 5).0.is_empty());
     }
 
+    /// Query terms are case-folded before the vocabulary look-up, as
+    /// `InvertedIndex::postings` folds them: "Málaga" finds the lemma
+    /// `malaga`, and the two spellings are one query term — in the
+    /// reference too.
     #[test]
-    fn parallel_build_matches_sequential() {
-        let lx = Lexicon::english();
-        let mut s = DocumentStore::new();
-        for i in 0..24 {
-            s.add(Document::new(
-                &format!("d{i}"),
-                DocFormat::Plain,
-                "",
-                &format!("weather in city number {i}. temperature {i} degrees. filler text."),
-            ));
-        }
-        let idx = InvertedIndex::build(&lx, &s);
-        let seq = PassageRetriever::build(&lx, &s, 4);
-        let par = PassageRetriever::build_parallel(&lx, &s, 4, 4);
-        assert_eq!(seq.num_docs(), par.num_docs());
-        assert_eq!(seq.num_terms(), par.num_terms());
-        let terms = vec![("weather".to_owned(), 1.0), ("temperature".to_owned(), 2.0)];
-        assert_eq!(
-            seq.retrieve_weighted(&idx, &terms, 10),
-            par.retrieve_weighted(&idx, &terms, 10)
-        );
+    fn query_terms_are_folded_before_the_vocabulary_lookup() {
+        let texts: Vec<String> = vec![
+            "Cheap flights to Málaga. Rain in Madrid all day.".to_owned(),
+            "Weather in Madrid.".to_owned(),
+        ];
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let (pr, _) = setup(&refs, 1);
+        let folded = pr.retrieve(&["malaga".to_owned()], 5);
+        assert_eq!(folded.len(), 1);
+        assert_eq!(pr.retrieve(&["Málaga".to_owned()], 5), folded);
+        assert_eq!(pr.idf("Málaga").to_bits(), pr.idf("malaga").to_bits());
+        let terms = vec![
+            ("Málaga".to_owned(), 1.0),
+            ("malaga".to_owned(), 3.0),
+            ("MADRID".to_owned(), 1.0),
+        ];
+        let query = pr.compile_query(terms.iter().map(|(t, w)| (t.as_str(), *w)));
+        assert_eq!(query.len(), 2);
+        equivalent(&texts, &terms, 1, 5);
     }
 
     // --- exhaustive-equivalence property tests -------------------------
@@ -880,9 +882,9 @@ mod tests {
 
     fn equivalent(texts: &[String], terms: &[(String, f64)], window: usize, k: usize) {
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let (pr, idx, _) = setup(&refs, window);
-        let pruned = pr.retrieve_weighted(&idx, terms, k);
-        let exhaustive = retrieve_weighted_exhaustive(&pr, &idx, terms, k);
+        let (pr, _) = setup(&refs, window);
+        let pruned = pr.retrieve_weighted(terms, k);
+        let exhaustive = retrieve_weighted_exhaustive(&pr, terms, k);
         assert_eq!(pruned, exhaustive, "window={window} k={k} terms={terms:?}");
     }
 
@@ -924,12 +926,12 @@ mod tests {
             window in 1usize..4,
         ) {
             let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-            let (pr, idx, _) = setup(&refs, window);
+            let (pr, _) = setup(&refs, window);
             let weighted: Vec<(String, f64)> =
                 words.iter().map(|w| (w.clone(), 1.0)).collect();
             prop_assert_eq!(
-                pr.retrieve(&idx, &words, 5),
-                retrieve_weighted_exhaustive(&pr, &idx, &weighted, 5)
+                pr.retrieve(&words, 5),
+                retrieve_weighted_exhaustive(&pr, &weighted, 5)
             );
         }
     }
@@ -955,8 +957,8 @@ mod tests {
             let texts = with_duplicates(&docs, &copies, rotate);
             equivalent(&texts, &terms, window, k);
             let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-            let (pr, idx, _) = setup(&refs, window);
-            let query = pr.compile_query(&idx, terms.iter().map(|(t, w)| (t.as_str(), *w)));
+            let (pr, _) = setup(&refs, window);
+            let query = pr.compile_query(terms.iter().map(|(t, w)| (t.as_str(), *w)));
             let (_, stats) = pr.retrieve_query(&query, k);
             prop_assert_eq!(stats.docs_candidate, stats.docs_scored + stats.docs_bound_skipped);
         }
@@ -977,8 +979,8 @@ mod tests {
             equivalent(&texts, &terms, 2, k);
         }
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let (pr, idx, _) = setup(&refs, 2);
-        let query = pr.compile_query(&idx, terms.iter().map(|(t, w)| (t.as_str(), *w)));
+        let (pr, _) = setup(&refs, 2);
+        let query = pr.compile_query(terms.iter().map(|(t, w)| (t.as_str(), *w)));
         let (passages, stats) = pr.retrieve_query(&query, 3);
         let docs: Vec<DocId> = passages.iter().map(|p| p.doc).collect();
         assert_eq!(docs, [DocId(1), DocId(3), DocId(4)]);
@@ -1000,7 +1002,7 @@ mod tests {
             "Sky and weather. Barcelona sale.".to_owned(),
         ];
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let (pr, idx, _) = setup(&refs, 2);
+        let (pr, _) = setup(&refs, 2);
         let terms = vec![
             ("sky".to_owned(), -1.0),
             ("barcelona".to_owned(), f64::NAN),
@@ -1010,12 +1012,12 @@ mod tests {
             ("temperature".to_owned(), 1.0),
         ];
         let usable = vec![("rain".to_owned(), 2.0), ("temperature".to_owned(), 1.0)];
-        let query = pr.compile_query(&idx, terms.iter().map(|(t, w)| (t.as_str(), *w)));
+        let query = pr.compile_query(terms.iter().map(|(t, w)| (t.as_str(), *w)));
         assert_eq!(query.len(), 2);
         for k in [1, 2, 10] {
             equivalent(&texts, &terms, 2, k);
-            let got = pr.retrieve_weighted(&idx, &terms, k);
-            assert_eq!(got, pr.retrieve_weighted(&idx, &usable, k));
+            let got = pr.retrieve_weighted(&terms, k);
+            assert_eq!(got, pr.retrieve_weighted(&usable, k));
             assert!(got.iter().all(|p| p.score.is_finite() && p.score > 0.0));
         }
     }
@@ -1030,8 +1032,8 @@ mod tests {
         let terms = vec![("rain".to_owned(), 1.0), ("sky".to_owned(), 1.0)];
         equivalent(&texts, &terms, 1, 100);
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let (pr, idx, _) = setup(&refs, 1);
-        let query = pr.compile_query(&idx, terms.iter().map(|(t, w)| (t.as_str(), *w)));
+        let (pr, _) = setup(&refs, 1);
+        let query = pr.compile_query(terms.iter().map(|(t, w)| (t.as_str(), *w)));
         let (passages, stats) = pr.retrieve_query(&query, 100);
         assert_eq!(passages.len(), 4);
         assert_eq!(stats.docs_scored, 3);
@@ -1047,8 +1049,8 @@ mod tests {
         let terms = vec![("rain".to_owned(), 0.0), ("volcano".to_owned(), 4.0)];
         equivalent(&texts, &terms, 2, 3);
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let (pr, idx, _) = setup(&refs, 2);
-        let query = pr.compile_query(&idx, terms.iter().map(|(t, w)| (t.as_str(), *w)));
+        let (pr, _) = setup(&refs, 2);
+        let query = pr.compile_query(terms.iter().map(|(t, w)| (t.as_str(), *w)));
         let (passages, stats) = pr.retrieve_query(&query, 3);
         assert!(passages.is_empty());
         assert_eq!(stats.docs_candidate, 2);

@@ -3,8 +3,9 @@
 //! `benches/retrieval.rs` and `exp_retrieval_bench` call it.
 
 use crate::document::DocId;
-use crate::index::InvertedIndex;
 use crate::passage::{usable_weight, Passage, PassageRetriever};
+use dwqa_common::text::fold_cow;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// The pre-postings exhaustive scan: slides a window over **every
@@ -13,24 +14,28 @@ use std::cmp::Ordering;
 /// documents, sentences, score bits and order.
 pub fn retrieve_weighted_exhaustive(
     retriever: &PassageRetriever,
-    index: &InvertedIndex,
     terms: &[(String, f64)],
     k: usize,
 ) -> Vec<Passage> {
-    // The original O(q²) first-occurrence dedup (out-of-vocabulary terms
-    // keep a slot and simply never match, exactly like the old string
-    // sets).
-    let query: Vec<(&str, f64)> = {
-        let mut distinct: Vec<(&str, f64)> = Vec::new();
+    // The original O(q²) first-occurrence dedup, over case-folded terms
+    // (out-of-vocabulary terms keep a slot and simply never match, exactly
+    // like the old string sets). The IDF is the retriever's own table;
+    // `tests/retrieval_bound.rs` holds that table to `InvertedIndex::idf`.
+    let query: Vec<(Cow<'_, str>, f64)> = {
+        let mut distinct: Vec<(Cow<'_, str>, f64)> = Vec::new();
         for (t, w) in terms.iter().filter(|(_, w)| usable_weight(*w)) {
+            let t = fold_cow(t);
             match distinct.iter_mut().find(|(d, _)| *d == t) {
                 Some(entry) => entry.1 = entry.1.max(*w),
-                None => distinct.push((t.as_str(), *w)),
+                None => distinct.push((t, *w)),
             }
         }
         distinct
             .into_iter()
-            .map(|(t, w)| (t, w * index.idf(t)))
+            .map(|(t, w)| {
+                let idf = retriever.idf(&t);
+                (t, w * idf)
+            })
             .collect()
     };
     let window = retriever.window();

@@ -23,8 +23,6 @@ pub struct AliQAnConfig {
     pub passages_k: usize,
     /// Answers returned per question.
     pub answers_k: usize,
-    /// Worker threads for the indexation phase.
-    pub index_threads: usize,
 }
 
 impl Default for AliQAnConfig {
@@ -33,7 +31,6 @@ impl Default for AliQAnConfig {
             passage_window: PassageRetriever::DEFAULT_WINDOW,
             passages_k: 5,
             answers_k: 5,
-            index_threads: 1,
         }
     }
 }
@@ -65,12 +62,6 @@ impl AliQAnConfig {
             return Err(ConfigError::new(
                 "answers_k",
                 "must return at least 1 answer (got 0)",
-            ));
-        }
-        if self.index_threads == 0 {
-            return Err(ConfigError::new(
-                "index_threads",
-                "must use at least 1 indexation thread (got 0)",
             ));
         }
         Ok(())
@@ -111,12 +102,6 @@ impl AliQAnConfigBuilder {
     /// Sets how many answers are returned per question.
     pub fn answers_k(mut self, k: usize) -> Self {
         self.config.answers_k = k;
-        self
-    }
-
-    /// Sets the worker-thread count for the indexation phase.
-    pub fn index_threads(mut self, threads: usize) -> Self {
-        self.config.index_threads = threads;
         self
     }
 
@@ -234,13 +219,11 @@ impl AliQAn {
 
     /// Runs the indexation phase over a corpus.
     pub fn index_corpus(&mut self, store: DocumentStore) {
-        let index = QaIndex::build_with_threads(
+        self.index = Some(QaIndex::build(
             &self.lexicon,
             &store,
             self.config.passage_window,
-            self.config.index_threads,
-        );
-        self.index = Some(index);
+        ));
         self.store = Some(store);
     }
 
@@ -267,9 +250,7 @@ impl AliQAn {
     /// back to the caller.
     pub fn passages(&self, analysis: &QuestionAnalysis) -> Vec<Passage> {
         let (index, _) = self.indexed();
-        let query = index
-            .passages
-            .compile_query(&index.ir_index, analysis.weighted_term_refs());
+        let query = index.passages.compile_query(analysis.weighted_term_refs());
         let (passages, _) = index
             .passages
             .retrieve_query(&query, self.config.passages_k);
@@ -280,7 +261,6 @@ impl AliQAn {
             return passages;
         };
         let query = index.passages.compile_query(
-            &index.ir_index,
             analysis
                 .weighted_term_refs()
                 .chain(std::iter::once((focus.as_str(), 1.0))),

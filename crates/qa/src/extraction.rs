@@ -807,10 +807,7 @@ mod tests {
         let mut bank = default_patterns();
         bank.push(temperature_pattern());
         let analysis = analyze_question(&s.lexicon, &s.ontology, &bank, question);
-        let passages = s
-            .index
-            .passages
-            .retrieve(&s.index.ir_index, &analysis.retrieval_terms(), 5);
+        let passages = s.index.passages.retrieve(&analysis.retrieval_terms(), 5);
         let _ = Similarity::Bm25;
         extract_answers(&analysis, &s.index, &s.store, &s.ontology, &passages, k)
     }
@@ -962,9 +959,7 @@ mod tests {
             &bank,
             "Who performed the knee surgery?",
         );
-        let passages = index
-            .passages
-            .retrieve(&index.ir_index, &analysis.retrieval_terms(), 5);
+        let passages = index.passages.retrieve(&analysis.retrieval_terms(), 5);
         let answers = extract_answers(&analysis, &index, &store, &ontology, &passages, 3);
         assert!(
             matches!(&answers[0].value, AnswerValue::Name(n) if n == "Doctor Ramirez"),
@@ -1005,9 +1000,7 @@ mod tests {
             &bank,
             "What is the temperature in January of 2004 in Barcelona?",
         );
-        let passages = index
-            .passages
-            .retrieve(&index.ir_index, &analysis.retrieval_terms(), 5);
+        let passages = index.passages.retrieve(&analysis.retrieval_terms(), 5);
         let answers = extract_answers(&analysis, &index, &store, &ontology, &passages, 5);
         assert!(answers
             .iter()

@@ -1,12 +1,16 @@
 //! The indexation phase (Figure 3, left half).
 //!
 //! "There are two independent indexations, one for the QA process, and
-//! another for the IR process." The QA indexation runs the full NLP
-//! pipeline over every sentence of every document (the expensive,
-//! off-line part); the IR indexation builds the inverted index and the
-//! IR-n passage retriever that filter the text the QA process works on.
+//! another for the IR process." They are two index structures here too —
+//! the linguistic analysis of every sentence for the QA process, and the
+//! IR-n passage postings that filter the text the QA process works on —
+//! but over **one** analysis: every sentence is split, tokenised and
+//! tagged once, the QA side keeps the analysis, and the passage postings
+//! are built from its tagged tokens. A passage's `first_sentence` is
+//! therefore an index into [`QaIndex::doc_sentences`] by construction,
+//! which is how the extractor finds the analysis of a retrieved sentence.
 
-use dwqa_ir::{DocId, DocumentStore, InvertedIndex, PassageRetriever};
+use dwqa_ir::{DocId, DocumentStore, PassageRetriever};
 use dwqa_nlp::{analyze_text, AnalyzedSentence, Lexicon};
 
 /// The indexed corpus: linguistic analyses + IR structures.
@@ -14,69 +18,28 @@ use dwqa_nlp::{analyze_text, AnalyzedSentence, Lexicon};
 pub struct QaIndex {
     /// Per document, per sentence: the full NLP analysis.
     sentences: Vec<Vec<AnalyzedSentence>>,
-    /// The IR inverted index.
-    pub ir_index: InvertedIndex,
-    /// The IR-n passage retriever.
+    /// The IR-n passage retriever, over the same sentences.
     pub passages: PassageRetriever,
 }
 
 impl QaIndex {
-    /// Runs the indexation phase over a document store.
+    /// Runs the indexation phase over a document store (the paper runs it
+    /// "off-line … to speed up as much as possible the searching
+    /// process").
     pub fn build(lexicon: &Lexicon, store: &DocumentStore, passage_window: usize) -> QaIndex {
-        Self::build_with_threads(lexicon, store, passage_window, 1)
-    }
-
-    /// Like [`QaIndex::build`], analysing documents on `threads` worker
-    /// threads (the NLP pass dominates indexation time and is
-    /// embarrassingly parallel; the paper runs this phase "off-line …
-    /// to speed up as much as possible the searching process").
-    pub fn build_with_threads(
-        lexicon: &Lexicon,
-        store: &DocumentStore,
-        passage_window: usize,
-        threads: usize,
-    ) -> QaIndex {
-        let threads = threads.max(1);
-        let texts: Vec<&str> = store.iter().map(|(_, d)| d.text.as_str()).collect();
-        let sentences: Vec<Vec<AnalyzedSentence>> = if threads == 1 || texts.len() < 2 {
-            texts.iter().map(|t| analyze_text(lexicon, t)).collect()
-        } else {
-            let chunk = texts.len().div_ceil(threads).max(1);
-            let results = parking_lot::Mutex::new(vec![Vec::new(); texts.len()]);
-            crossbeam::thread::scope(|scope| {
-                for (c, chunk_texts) in texts.chunks(chunk).enumerate() {
-                    let results = &results;
-                    scope.spawn(move |_| {
-                        let base = c * chunk;
-                        let analysed: Vec<(usize, Vec<AnalyzedSentence>)> = chunk_texts
-                            .iter()
-                            .enumerate()
-                            .map(|(i, t)| (base + i, analyze_text(lexicon, t)))
-                            .collect();
-                        let mut guard = results.lock();
-                        for (i, a) in analysed {
-                            guard[i] = a;
-                        }
-                    });
-                }
-            })
-            .expect("QA indexation worker panicked");
-            results.into_inner()
-        };
-        let (ir_index, passages) = if threads == 1 || texts.len() < 2 {
-            (
-                InvertedIndex::build(lexicon, store),
-                PassageRetriever::build(lexicon, store, passage_window),
-            )
-        } else {
-            (
-                InvertedIndex::build_parallel(lexicon, store, threads),
-                PassageRetriever::build_parallel(lexicon, store, passage_window, threads),
-            )
-        };
+        let sentences: Vec<Vec<AnalyzedSentence>> = store
+            .iter()
+            .map(|(_, d)| analyze_text(lexicon, &d.text))
+            .collect();
+        let passages = PassageRetriever::from_tagged(
+            lexicon,
+            sentences
+                .iter()
+                .map(|doc| doc.iter().map(|s| (s.text.clone(), s.tokens.as_slice()))),
+            passage_window,
+        );
         QaIndex {
             sentences,
-            ir_index,
             passages,
         }
     }
@@ -120,30 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_sequential() {
-        let lx = Lexicon::english();
-        let mut s = DocumentStore::new();
-        for i in 0..20 {
-            s.add(Document::new(
-                &format!("d{i}"),
-                DocFormat::Plain,
-                "",
-                &format!("The temperature in city {i} was {i}º C. Clear skies."),
-            ));
-        }
-        let seq = QaIndex::build(&lx, &s, 8);
-        let par = QaIndex::build_with_threads(&lx, &s, 8, 4);
-        assert_eq!(seq.num_docs(), par.num_docs());
-        for d in 0..seq.num_docs() {
-            assert_eq!(
-                seq.doc_sentences(DocId(d as u32)),
-                par.doc_sentences(DocId(d as u32)),
-                "doc {d}"
-            );
-        }
-    }
-
-    #[test]
     fn build_analyses_every_sentence() {
         let lx = Lexicon::english();
         let idx = QaIndex::build(&lx, &store(), 8);
@@ -153,8 +92,11 @@ mod tests {
         assert_eq!(idx.num_sentences(), 3);
         // The QA-side analysis carries entities…
         assert!(!idx.doc_sentences(DocId(0))[0].entities.is_empty());
-        // …and the IR side indexes lemmas.
-        assert_eq!(idx.ir_index.df("temperature"), 1);
+        // …and the IR side indexes lemmas of the same sentences.
+        assert_eq!(idx.passages.num_docs(), 2);
+        let hits = idx.passages.retrieve(&["temperature".to_owned()], 5);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].doc, DocId(0));
         assert_eq!(idx.passages.window(), 8);
     }
 }

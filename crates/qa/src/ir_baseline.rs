@@ -72,9 +72,8 @@ impl IrBaseline {
 
     /// Passage-level retrieval: the best the IR side offers.
     pub fn search_passages(&self, query: &str, k: usize) -> Vec<IrResult> {
-        let terms = dwqa_ir::index::index_terms(&self.lexicon, query);
         self.passages
-            .retrieve(&self.index, &terms, k)
+            .retrieve_text(&self.lexicon, query, k)
             .into_iter()
             .map(|p: Passage| IrResult {
                 url: self.urls[p.doc.index()].clone(),
