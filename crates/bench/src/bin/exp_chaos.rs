@@ -23,7 +23,10 @@
 //! the run number). Run with:
 //! `cargo run --release -p dwqa-bench --bin exp_chaos [--trace-out FILE]`
 
-use dwqa_bench::{build_fixture, daily_questions, expected_points, section, FixtureConfig};
+use dwqa_bench::{
+    build_fixture, cached_rollup, daily_questions, expected_points, section, weather_by_city,
+    FixtureConfig,
+};
 use dwqa_common::Month;
 use dwqa_core::{ExtractionEval, FeedFault, IntegrationPipeline};
 use dwqa_corpus::{GroundTruth, PageStyle};
@@ -226,7 +229,8 @@ fn main() {
         .fact("City Weather")
         .expect("weather star exists")
         .len();
-    let revision_before = fx.pipeline.revision();
+    let by_city = weather_by_city();
+    let cached = fx.pipeline.rollup(&by_city).expect("roll-up runs");
     fx.pipeline
         .set_feed_fault(Some(FeedFault { seed, rate: 1.0 }));
     let report = fx.pipeline.submit_batch_with(&engine, &qs);
@@ -245,11 +249,8 @@ fn main() {
         facts_before,
         "rollback restored the fact table"
     );
-    assert_eq!(
-        fx.pipeline.revision(),
-        revision_before,
-        "no spurious cache-revision bump"
-    );
+    let after_rollback = cached_rollup(&fx.pipeline, &by_city);
+    assert_eq!(after_rollback, cached, "the rollback left it alone");
     fx.pipeline.set_feed_fault(None);
     let report = fx.pipeline.submit_batch_with(&engine, &qs);
     println!(
@@ -259,7 +260,8 @@ fn main() {
         fx.pipeline.rollbacks()
     );
     assert!(!report.rolled_back && report.feed.loaded > 0);
-    assert_eq!(fx.pipeline.revision(), revision_before + 1);
+    let after_commit = cached_rollup(&fx.pipeline, &by_city);
+    assert_ne!(after_commit, cached, "the commit folded its rows in");
 
     section("Total outage: 100% permanent 404s");
     let mut fx = fixture();
@@ -308,5 +310,5 @@ fn main() {
     println!("re-validation (answers are dropped, never altered, so precision holds), and");
     println!("the circuit breaker plus per-question deadline turn a dead source into");
     println!("explicit source-unavailable outcomes instead of hangs. ETL faults roll the");
-    println!("warehouse back atomically; the retried batch commits with one revision bump.");
+    println!("warehouse back atomically; the retried batch commits into the cached roll-ups.");
 }

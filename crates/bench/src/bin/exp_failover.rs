@@ -23,7 +23,7 @@
 //! from the run number). Usage: `exp_failover [--quick] [--out PATH]`
 
 use dwqa_bench::{build_fixture, daily_questions, section, FixtureConfig};
-use dwqa_common::Month;
+use dwqa_common::{mix64, Month};
 use dwqa_core::IntegrationPipeline;
 use dwqa_corpus::PageStyle;
 use dwqa_faults::LinkPlan;
@@ -48,14 +48,6 @@ fn failover_seed() -> u64 {
         Ok(v) => v.parse().unwrap_or(0xFA170),
         Err(_) => 0xFA170,
     }
-}
-
-/// SplitMix64 — the workspace's standard deterministic stream mixer.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -420,7 +412,7 @@ fn main() {
     let mut kill_points: Vec<usize> = Vec::new();
     let mut stream = seed;
     while kill_points.len() < 5 {
-        stream = mix(stream);
+        stream = mix64(stream);
         let k = 1 + (stream as usize) % (questions.len() - 2);
         if !kill_points.contains(&k) {
             kill_points.push(k);
@@ -448,7 +440,7 @@ fn main() {
             standby_pipe,
             &questions,
             kill_after,
-            mix(seed ^ (i as u64)),
+            mix64(seed ^ (i as u64)),
             &reference_json,
         );
         primary_pipe = old;
@@ -489,7 +481,7 @@ fn main() {
             standby_pipe,
             &questions,
             kill_after,
-            mix(seed ^ 0xD4A1),
+            mix64(seed ^ 0xD4A1),
             &reference_json,
         );
         primary_pipe = old;

@@ -95,12 +95,11 @@ fn run_lane(
     let mut wh = synthetic_warehouse(base_rows, airports, WAREHOUSE_SEED);
     let queries = read_set();
     let cache = RollupCache::new(queries.len() + 2);
-    let mut revision = 0u64;
 
     // Warm the registry: every lane starts with live entries.
     for q in &queries {
         cache
-            .run(&wh, revision, q)
+            .run(&wh, q)
             .unwrap_or_else(|e| panic!("warm-up query failed: {e}"));
     }
 
@@ -112,21 +111,20 @@ fn run_lane(
         let batch = synthetic_batch(&mut m, delta_rows, airports);
         wh.load("Last Minute Sales", batch)
             .unwrap_or_else(|e| panic!("delta load failed: {e}"));
-        revision += 1;
         match lane {
             Lane::Incremental => {
                 let delta = wh
                     .delta_since(&tracker)
                     .unwrap_or_else(|| panic!("load must be a pure append"));
-                cache.apply_delta(&wh, &delta, revision);
+                cache.apply_delta(&wh, &delta);
             }
-            Lane::Purge => cache.purge_stale(revision),
+            Lane::Purge => cache.clear(),
         }
         let q_start = Instant::now();
         for q in &queries {
             std::hint::black_box(
                 cache
-                    .run(&wh, revision, q)
+                    .run(&wh, q)
                     .unwrap_or_else(|e| panic!("post-commit query failed: {e}")),
             );
         }
@@ -138,7 +136,7 @@ fn run_lane(
         .iter()
         .map(|q| {
             cache
-                .run(&wh, revision, q)
+                .run(&wh, q)
                 .unwrap_or_else(|e| panic!("final query failed: {e}"))
         })
         .collect();

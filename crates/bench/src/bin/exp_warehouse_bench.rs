@@ -155,7 +155,7 @@ fn measure_cache(shards: usize, threads: usize, ops: u32) -> CacheMeasurement {
     let cache = Arc::new(AnswerCache::with_shards(4096, shards));
     // Pre-populate so lookups mostly hit.
     for i in 0..1024u32 {
-        cache.store(format!("warm {i}"), 0, vec![]);
+        cache.store(format!("warm {i}"), vec![]);
     }
     let start = Instant::now();
     let workers: Vec<_> = (0..threads)
@@ -164,8 +164,8 @@ fn measure_cache(shards: usize, threads: usize, ops: u32) -> CacheMeasurement {
             std::thread::spawn(move || {
                 for i in 0..ops {
                     let key = format!("warm {}", (i.wrapping_mul(t as u32 + 1)) % 1024);
-                    cache.store(key.clone(), 0, vec![]);
-                    std::hint::black_box(cache.lookup(&key, 0));
+                    cache.store(key.clone(), vec![]);
+                    std::hint::black_box(cache.lookup(&key));
                     std::hint::black_box(cache.len());
                 }
             })

@@ -16,7 +16,7 @@ use dwqa_corpus::{
     generate_weather_corpus, CityClimate, GroundTruth, PageStyle, SalesConfig, WeatherConfig,
 };
 use dwqa_ir::DocumentStore;
-use dwqa_warehouse::Warehouse;
+use dwqa_warehouse::{AggFn, CubeQuery, ResultSet, Warehouse};
 
 pub use dwqa_corpus::weather::page_url;
 
@@ -152,6 +152,28 @@ pub fn expected_points(cities: &[CityClimate], year: i32, month: Month) -> Vec<(
         }
     }
     out
+}
+
+/// Average fed temperature by city: the roll-up the chaos checks cache
+/// before a feed, because a weather commit must fold into it and a
+/// rolled-back one must leave it alone.
+pub fn weather_by_city() -> CubeQuery {
+    CubeQuery::on("City Weather")
+        .group_by("City", "City")
+        .aggregate("temperature_c", AggFn::Avg)
+}
+
+/// Reads an already cached `query` through the pipeline's roll-up
+/// cache, panicking unless it is served as a hit and is equal to the
+/// reference executor's result on the warehouse as it now is.
+pub fn cached_rollup(pipeline: &IntegrationPipeline, query: &CubeQuery) -> ResultSet {
+    let cache = pipeline.rollup_cache();
+    let (hits, misses) = (cache.hits(), cache.misses());
+    let got = pipeline.rollup(query).expect("roll-up runs");
+    assert_eq!((cache.hits(), cache.misses()), (hits + 1, misses), "hit");
+    let reference = query.execute_reference(&pipeline.warehouse);
+    assert_eq!(Ok(&got), reference.as_ref(), "cached = reference");
+    got
 }
 
 /// Prints a section header for experiment output.

@@ -39,8 +39,8 @@ pub fn sales_by_temperature_band(
 }
 
 /// [`sales_by_temperature_band`] with a pluggable query runner, so the
-/// pipeline can route both roll-ups through its revision-tagged result
-/// cache ([`crate::RollupCache`]) instead of executing directly.
+/// pipeline can route both roll-ups through its result cache
+/// ([`crate::RollupCache`]) instead of executing directly.
 pub fn sales_by_temperature_band_with(
     mut run: impl FnMut(&CubeQuery) -> Result<ResultSet>,
     band_width: f64,

@@ -23,8 +23,8 @@ pub fn questions_for_missing_weather(
 }
 
 /// [`questions_for_missing_weather`] with a pluggable query runner, so
-/// the pipeline can route both roll-ups through its revision-tagged
-/// result cache ([`crate::RollupCache`]) instead of executing directly.
+/// the pipeline can route both roll-ups through its result cache
+/// ([`crate::RollupCache`]) instead of executing directly.
 pub fn questions_for_missing_weather_with(
     mut run: impl FnMut(&CubeQuery) -> Result<ResultSet>,
     year: i32,

@@ -9,9 +9,10 @@
 //! many worker threads can drive concurrently (see the `dwqa-engine`
 //! crate). The write path — Step 5, loading validated answers into the
 //! `City Weather` star — needs `&mut` and stays on
-//! [`IntegrationPipeline::apply_feedback`]. Every warehouse mutation bumps
-//! a monotonically increasing *revision* that caches key off; a committed
-//! feed additionally yields a typed append delta that live materialized
+//! [`IntegrationPipeline::apply_feedback`]. Nothing it loads flows back
+//! into the ontology or the indexes, so answers never depend on the
+//! warehouse and no commit invalidates one. Roll-ups do depend on it: a
+//! committed feed yields a typed append delta that live materialized
 //! roll-ups absorb in place (see [`crate::rollup::RollupCache`]), so a
 //! commit maintains cached analyses instead of discarding them.
 
@@ -22,6 +23,7 @@ use crate::durability::{
 };
 use crate::feedback::{feed_weather_dedup, FeedError, FeedReport};
 use crate::rollup::RollupCache;
+use dwqa_common::mix64;
 use dwqa_ir::DocumentStore;
 use dwqa_ontology::{
     enrich_from_warehouse, merge_into_upper, schema_to_ontology, upper_ontology, EnrichmentReport,
@@ -32,7 +34,6 @@ use dwqa_store::{FeedbackStore, StoreConfig};
 use dwqa_warehouse::{CubeQuery, ResultSet, Warehouse, WarehouseSnapshot};
 use std::collections::HashSet;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Deterministic fault injection for feedback transactions (chaos
@@ -49,20 +50,10 @@ pub struct FeedFault {
 }
 
 /// Everything needed to undo a feedback transaction: the warehouse
-/// contents (via the snapshot machinery), the fed-point dedup set, and
-/// the revision observed by caches.
+/// contents (via the snapshot machinery) and the fed-point dedup set.
 struct FeedCheckpoint {
     warehouse: WarehouseSnapshot,
     fed_points: HashSet<(String, dwqa_common::Date)>,
-    revision: u64,
-}
-
-/// SplitMix64, for the feed-fault decision stream.
-fn mix(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Pipeline construction options.
@@ -146,8 +137,7 @@ impl PipelineOptionsBuilder {
 pub struct IntegrationPipeline {
     /// The data warehouse (Step 5 writes into it). Prefer
     /// [`Self::apply_feedback`] for mutation; after mutating directly,
-    /// call [`Self::mark_dirty`] so caches keyed on the revision drop
-    /// their stale entries.
+    /// call [`Self::mark_dirty`] so the roll-up cache drops its entries.
     pub warehouse: Warehouse,
     /// The tuned QA system over the merged ontology, shared with every
     /// [`ReadPath`] handle.
@@ -160,8 +150,6 @@ pub struct IntegrationPipeline {
     /// (city, date) points already fed, so overlapping questions never
     /// load the same reading twice.
     fed_points: HashSet<(String, dwqa_common::Date)>,
-    /// Bumped on every warehouse mutation; shared with [`ReadPath`].
-    revision: Arc<AtomicU64>,
     /// Deterministic chaos injection for feed transactions.
     feed_fault: Option<FeedFault>,
     /// Feed transactions attempted (drives the fault stream).
@@ -174,10 +162,11 @@ pub struct IntegrationPipeline {
     /// Set when a failed rollback left the warehouse possibly holding a
     /// partial load; all feeds are rejected until a restore clears it.
     poisoned: Option<String>,
-    /// Revision-tagged cache of roll-up results with live materialized
-    /// state: committed feed transactions fold their append delta into
-    /// every entry ([`RollupCache::apply_delta`]) instead of purging;
-    /// only non-append mutations fall back to [`Self::mark_dirty`].
+    /// Cache of roll-up results with live materialized state, kept
+    /// current by every mutation of [`Self::warehouse`]: committed feed
+    /// transactions fold their append delta into every entry
+    /// ([`RollupCache::apply_delta`]) instead of purging; only
+    /// non-append mutations fall back to [`Self::mark_dirty`].
     rollups: RollupCache,
 }
 
@@ -187,7 +176,6 @@ pub struct IntegrationPipeline {
 #[derive(Clone)]
 pub struct ReadPath {
     qa: Arc<AliQAn>,
-    revision: Arc<AtomicU64>,
 }
 
 impl ReadPath {
@@ -204,13 +192,6 @@ impl ReadPath {
     /// The Table-1 trace for a question.
     pub fn trace(&self, question: &str) -> PipelineTrace {
         self.qa.trace(question)
-    }
-
-    /// The warehouse revision this handle currently observes. Increases
-    /// every time the write path mutates the warehouse; caches tag
-    /// entries with it and drop them when it moves.
-    pub fn revision(&self) -> u64 {
-        self.revision.load(Ordering::Acquire)
     }
 }
 
@@ -254,7 +235,6 @@ impl IntegrationPipeline {
             merge,
             axioms: options.axioms,
             fed_points: HashSet::new(),
-            revision: Arc::new(AtomicU64::new(0)),
             feed_fault: None,
             feeds_attempted: 0,
             rollbacks: 0,
@@ -269,31 +249,23 @@ impl IntegrationPipeline {
     pub fn read_path(&self) -> ReadPath {
         ReadPath {
             qa: Arc::clone(&self.qa),
-            revision: Arc::clone(&self.revision),
         }
     }
 
-    /// The current warehouse revision (see [`ReadPath::revision`]).
-    pub fn revision(&self) -> u64 {
-        self.revision.load(Ordering::Acquire)
-    }
-
-    /// Bumps the revision so caches drop entries computed against the
-    /// previous warehouse state. [`Self::apply_feedback`] calls this
-    /// automatically; call it yourself after mutating
+    /// Drops every cached roll-up, so the next read of each recomputes
+    /// against the warehouse as it now is. The write path keeps the
+    /// cache current by itself; call this after mutating
     /// [`Self::warehouse`] directly.
     pub fn mark_dirty(&self) {
-        let revision = self.revision.fetch_add(1, Ordering::AcqRel) + 1;
-        // Eagerly drop result sets computed against older revisions;
-        // lookups would skip them anyway, this just frees the memory.
-        self.rollups.purge_stale(revision);
+        self.rollups.clear();
     }
 
-    /// Runs a cube query against the warehouse through the revision-
-    /// tagged result cache: repeated queries between feed commits are
-    /// served without re-scanning the fact tables.
+    /// Runs a cube query against the warehouse through the result
+    /// cache: repeated queries are served without re-scanning the fact
+    /// tables, across feed commits too (a commit folds its rows into
+    /// the cached results).
     pub fn rollup(&self, query: &CubeQuery) -> dwqa_warehouse::Result<ResultSet> {
-        self.rollups.run(&self.warehouse, self.revision(), query)
+        self.rollups.run(&self.warehouse, query)
     }
 
     /// The roll-up result cache (hit/miss statistics, manual purge).
@@ -337,19 +309,17 @@ impl IntegrationPipeline {
         FeedCheckpoint {
             warehouse: self.warehouse.snapshot(),
             fed_points: self.fed_points.clone(),
-            revision: self.revision(),
         }
     }
 
     /// Restores a checkpoint, making a failed transaction all-or-nothing.
-    /// The revision is *not* bumped: the restored state is exactly what
-    /// caches already observed, so their entries stay valid.
+    /// The roll-up cache is left alone: the restored state is exactly
+    /// what its entries were last brought up to, so they stay valid.
     fn rollback(&mut self, checkpoint: FeedCheckpoint) -> Result<(), FeedError> {
         let restored = Warehouse::restore(&checkpoint.warehouse)
             .map_err(|e| FeedError::RollbackFailed(e.to_string()))?;
         self.warehouse = restored;
         self.fed_points = checkpoint.fed_points;
-        debug_assert_eq!(self.revision(), checkpoint.revision);
         Ok(())
     }
 
@@ -378,7 +348,7 @@ impl IntegrationPipeline {
     fn feed_all(&mut self, batches: &[&[Answer]]) -> Result<FeedReport, FeedError> {
         let fail_after = match self.feed_fault {
             Some(FeedFault { seed, rate }) => {
-                let roll = (mix(seed.wrapping_add(self.feeds_attempted)) >> 11) as f64
+                let roll = (mix64(seed.wrapping_add(self.feeds_attempted)) >> 11) as f64
                     / (1u64 << 53) as f64;
                 // Fail after loading half the batches (at least one when
                 // there is anything to load) — genuine partial state.
@@ -433,9 +403,10 @@ impl IntegrationPipeline {
         }
     }
 
-    /// One all-or-nothing feed transaction over `batches`. On success the
-    /// revision is bumped once (when rows actually loaded); on failure the
-    /// warehouse, the dedup set and the revision are exactly as before.
+    /// One all-or-nothing feed transaction over `batches`. On success
+    /// what it appended is folded into the cached roll-ups; on failure
+    /// the warehouse, the dedup set and the cached roll-ups are exactly
+    /// as before.
     ///
     /// With a store attached, the transaction is appended to the
     /// write-ahead log **before** it is acknowledged: if the durability
@@ -463,26 +434,16 @@ impl IntegrationPipeline {
                     return Err(durability_err);
                 }
                 match self.warehouse.delta_since(&tracker) {
-                    Some(delta) if delta.fact_rows_added() > 0 => {
-                        // Commit with new fact rows: bump the revision
-                        // and fold the delta into every live roll-up
-                        // instead of purging the cache.
-                        let revision = self.revision.fetch_add(1, Ordering::AcqRel) + 1;
-                        self.rollups.apply_delta(&self.warehouse, &delta, revision);
-                    }
-                    Some(delta) if delta.members_added() > 0 => {
-                        // New members without fact rows change no
-                        // result (no revision bump), but live masks and
-                        // ordinal maps must track the new extents.
-                        self.rollups
-                            .apply_delta(&self.warehouse, &delta, self.revision());
-                    }
-                    Some(_) => {} // nothing appended: caches stay valid
-                    None => {
-                        // Not a pure append (shouldn't happen on the
-                        // feed path): fall back to a full purge.
-                        self.mark_dirty();
-                    }
+                    // Nothing appended: cached roll-ups stay valid.
+                    Some(delta) if delta.is_empty() => {}
+                    // Fold the delta into every live roll-up instead of
+                    // purging the cache. New members without fact rows
+                    // change no result, but live masks and ordinal maps
+                    // must track the new extents.
+                    Some(delta) => self.rollups.apply_delta(&self.warehouse, &delta),
+                    // Not a pure append (shouldn't happen on the feed
+                    // path): fall back to a full purge.
+                    None => self.mark_dirty(),
                 }
                 dwqa_obs::event!("commit", loaded = report.loaded);
                 span.record("committed", true);
@@ -510,15 +471,14 @@ impl IntegrationPipeline {
     /// The write path (Step 5), fallible and transactional: validates
     /// answers against the Step-4 axioms and loads them into the `City
     /// Weather` star, deduplicating (city, date) points across calls.
-    /// Bumps the revision once when rows were actually loaded; on error
-    /// the warehouse is rolled back to its pre-call state and the
-    /// revision — and therefore cached answers — is untouched.
+    /// On error the warehouse is rolled back to its pre-call state and
+    /// cached roll-ups stay as they were.
     pub fn try_apply_feedback(&mut self, answers: &[Answer]) -> Result<FeedReport, FeedError> {
         self.feed_transaction(&[answers])
     }
 
     /// A whole batch of per-question answer sets as **one** transaction:
-    /// either every batch loads (one revision bump) or none do.
+    /// either every batch loads or none do.
     pub fn feed_batch(&mut self, batches: &[&[Answer]]) -> Result<FeedReport, FeedError> {
         self.feed_transaction(batches)
     }
@@ -683,7 +643,7 @@ impl IntegrationPipeline {
 
     /// Replaces the warehouse state wholesale from a snapshot,
     /// rebuilding the `(city, date)` dedup set from the restored `City
-    /// Weather` fact, clearing any poison, and bumping the revision.
+    /// Weather` fact, clearing any poison, and emptying the roll-up cache.
     /// This is the manual restore path; prefer
     /// [`Self::attach_store_at`] when a durable store exists.
     pub fn restore_warehouse(&mut self, snapshot: &WarehouseSnapshot) -> Result<(), FeedError> {
@@ -700,7 +660,7 @@ impl IntegrationPipeline {
     /// [`LoggedTransaction`] payload and feeds it through the normal
     /// transactional path. A standby therefore gets everything the
     /// primary's write path has — rollback on failure, `(city, date)`
-    /// dedup, revision bump, roll-up delta folding, and (when its own
+    /// dedup, roll-up delta folding, and (when its own
     /// store is attached) local durability, so a promoted standby is
     /// immediately crash-safe.
     pub fn apply_replicated_transaction(
@@ -766,6 +726,28 @@ mod tests {
         default_cities, generate_sales, generate_weather_corpus, SalesConfig, WeatherConfig,
     };
     use dwqa_qa::AnswerValue;
+    use dwqa_warehouse::AggFn;
+
+    /// Average temperature by city over `City Weather`: the roll-up a
+    /// weather commit must fold and a rolled-back one must leave alone.
+    fn weather_rollup() -> CubeQuery {
+        CubeQuery::on("City Weather")
+            .group_by("City", "City")
+            .aggregate("temperature_c", AggFn::Avg)
+    }
+
+    /// Reads [`weather_rollup`] through the cache, asserting it is served
+    /// as a hit and equals the reference executor on the warehouse as it
+    /// now is — *present ⇒ current*, observed on the result itself.
+    fn weather_rollup_hit(p: &IntegrationPipeline) -> ResultSet {
+        let (hits, misses) = (p.rollup_cache().hits(), p.rollup_cache().misses());
+        let got = p.rollup(&weather_rollup()).unwrap();
+        assert_eq!(p.rollup_cache().hits(), hits + 1, "served from cache");
+        assert_eq!(p.rollup_cache().misses(), misses, "nothing recomputed");
+        let reference = weather_rollup().execute_reference(&p.warehouse).unwrap();
+        assert_eq!(got, reference, "cached roll-up is current");
+        got
+    }
 
     fn built_pipeline(skip_enrichment: bool) -> (IntegrationPipeline, dwqa_corpus::GroundTruth) {
         let corpus = generate_weather_corpus(
@@ -873,19 +855,36 @@ mod tests {
         assert_eq!(err.field, "answers_k");
     }
 
+    /// The invariant the answer cache rests on: Step 5 only writes
+    /// into the warehouse, so no feed — the primary's or, through the
+    /// same `feed_transaction`, a standby's replay of it — changes what
+    /// any question answers.
     #[test]
-    fn feedback_bumps_the_revision_and_read_paths_observe_it() {
+    fn answers_do_not_depend_on_what_the_warehouse_was_fed() {
         let (mut p, _) = built_pipeline(false);
         let read = p.read_path();
-        assert_eq!(read.revision(), 0);
-        let answers = read.answer("What is the temperature in January of 2004 in El Prat?");
-        p.apply_feedback(&answers);
-        assert_eq!(read.revision(), 1);
-        assert_eq!(p.revision(), 1);
-        p.mark_dirty();
-        assert_eq!(read.revision(), 2);
-        // Clones observe the same counter.
-        assert_eq!(read.clone().revision(), 2);
+        let mut questions = Vec::new();
+        for c in default_cities() {
+            questions.push(format!(
+                "What is the temperature in January of 2004 in {}?",
+                c.city
+            ));
+            for day in 1..=31 {
+                questions.push(format!(
+                    "What is the temperature on January {day}, 2004 in {}?",
+                    c.city
+                ));
+            }
+        }
+        let before: Vec<Vec<Answer>> = questions.iter().map(|q| read.answer(q)).collect();
+        let mut loaded = 0;
+        for answers in &before {
+            loaded += p.try_apply_feedback(answers).unwrap().loaded;
+        }
+        assert!(loaded > 0, "the feeds changed the warehouse");
+        for (question, was) in questions.iter().zip(&before) {
+            assert_eq!(&read.answer(question), was, "{question}");
+        }
     }
 
     #[test]
@@ -928,22 +927,19 @@ mod tests {
         // Certain failure: the transaction aborts mid-load and rolls back.
         p.set_feed_fault(Some(FeedFault { seed: 7, rate: 1.0 }));
         let before = p.warehouse.snapshot();
-        let revision_before = p.revision();
+        let cached = p.rollup(&weather_rollup()).unwrap();
         let err = p.feed_batch(&refs).unwrap_err();
         assert!(matches!(err, FeedError::Injected(_)), "{err}");
         assert_eq!(p.rollbacks(), 1);
-        assert_eq!(p.revision(), revision_before, "no spurious cache bump");
+        assert_eq!(weather_rollup_hit(&p), cached, "rollback kept the entry");
         assert_eq!(p.warehouse.snapshot(), before, "warehouse fully restored");
 
-        // Disabling the fault, the same transaction commits atomically.
+        // Disabling the fault, the same transaction commits atomically
+        // and its rows are folded into the cached roll-up.
         p.set_feed_fault(None);
         let report = p.feed_batch(&refs).unwrap();
         assert!(report.loaded > 0);
-        assert_eq!(
-            p.revision(),
-            revision_before + 1,
-            "one bump per transaction"
-        );
+        assert_ne!(weather_rollup_hit(&p), cached, "commit folded new rows");
         // A retry after commit only skips duplicates — the dedup set was
         // rolled back with the warehouse, not corrupted by the failure.
         let again = p.feed_batch(&refs).unwrap();
@@ -975,8 +971,8 @@ mod tests {
         assert_eq!(p.rollup_cache().misses(), 2);
 
         // A *committed* transaction folds its append delta into the live
-        // materialized entries instead of purging: both entries survive
-        // at the new revision, the next analysis is served from them —
+        // materialized entries instead of purging: both entries
+        // survive, the next analysis is served from them —
         // already reflecting the fed weather — and nothing re-executes.
         p.set_feed_fault(None);
         assert!(p.try_apply_feedback(&answers).unwrap().loaded > 0);
@@ -1002,15 +998,17 @@ mod tests {
             .answer("What is the temperature in January of 2004 in El Prat?");
         assert!(!answers.is_empty());
         p.set_feed_fault(Some(FeedFault { seed: 1, rate: 1.0 }));
+        let cached = p.rollup(&weather_rollup()).unwrap();
         let report = p.apply_feedback(&answers);
         assert_eq!(report.loaded, 0);
         assert!(!report.rejected.is_empty());
         assert!(report.rejected[0].1.contains("injected"));
         assert!(!report.urls.is_empty(), "URLs survive rejection");
-        assert_eq!(p.revision(), 0);
+        assert_eq!(weather_rollup_hit(&p), cached, "nothing was loaded");
         // Without the fault the very same answers load fine.
         p.set_feed_fault(None);
         assert!(p.apply_feedback(&answers).loaded > 0);
+        assert_ne!(weather_rollup_hit(&p), cached, "commit folded new rows");
     }
 
     #[test]
@@ -1046,7 +1044,7 @@ mod tests {
 
     fn scratch(tag: &str) -> std::path::PathBuf {
         static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
+        let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir =
             std::env::temp_dir().join(format!("dwqa-pipeline-{tag}-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1121,11 +1119,11 @@ mod tests {
             .set_torn(Some(dwqa_store::TornPlan::new(11).with_short_write(1.0)));
         let answers = p.read_path().answer(EL_PRAT);
         let before = p.warehouse.snapshot();
-        let revision_before = p.revision();
+        let cached = p.rollup(&weather_rollup()).unwrap();
         let err = p.try_apply_feedback(&answers).unwrap_err();
         assert!(matches!(err, FeedError::Durability(_)), "{err}");
         assert_eq!(p.rollbacks(), 1);
-        assert_eq!(p.revision(), revision_before, "no spurious cache bump");
+        assert_eq!(weather_rollup_hit(&p), cached, "rollback kept the entry");
         assert_eq!(p.warehouse.snapshot(), before, "memory fully rolled back");
         assert!(p.poisoned().is_none(), "a clean rollback does not poison");
         assert!(p.store().unwrap().wedged());
@@ -1136,7 +1134,11 @@ mod tests {
         let report = p.attach_store_at(&dir).unwrap();
         assert!(report.torn_bytes > 0);
         assert_eq!(report.transactions_replayed, 0);
+        // The reattach replaced the warehouse and emptied the cache;
+        // cached again, the retried commit folds its rows in.
+        assert_eq!(p.rollup(&weather_rollup()).unwrap(), cached);
         assert!(p.try_apply_feedback(&answers).unwrap().loaded > 0);
+        assert_ne!(weather_rollup_hit(&p), cached, "commit folded new rows");
     }
 
     #[test]
@@ -1226,9 +1228,10 @@ mod tests {
         // A pipeline restored from that snapshot treats the fed points
         // as already present.
         let (mut q, _) = built_pipeline(false);
-        let revision = q.revision();
+        let empty = q.rollup(&weather_rollup()).unwrap();
         q.restore_warehouse(&snap).unwrap();
-        assert!(q.revision() > revision, "restore bumps the revision");
+        assert!(q.rollup_cache().is_empty(), "restore empties the cache");
+        assert_ne!(q.rollup(&weather_rollup()).unwrap(), empty);
         let again = q.apply_feedback(&answers);
         assert_eq!(again.loaded, 0);
         assert!(again.duplicates_skipped > 0);

@@ -1,21 +1,24 @@
-//! Revision-invalidated registry of **live** roll-up results — the one
-//! roll-up cache.
+//! Registry of **live** roll-up results — the one roll-up cache.
 //!
-//! Entries are tagged with the pipeline revision they were computed
-//! against and keep the [`MaterializedRollup`] that produced them: the
-//! per-group accumulator state with its maintained result.
+//! An entry that is present is current. The cache has one owner, the
+//! one that mutates the warehouse, and that owner brings the cache
+//! along synchronously with every mutation: an append is folded in
+//! ([`RollupCache::apply_delta`]), anything else drops the entries
+//! ([`RollupCache::clear`]). So entries carry no version tag and a read
+//! never has to ask whether what it found is stale.
 //!
-//! That state is what makes commits cheap. A committed feed transaction
-//! does not purge the cache; it folds its typed [`WarehouseDelta`]
-//! into every live entry ([`RollupCache::apply_delta`]) — appended fact
-//! rows go through the kernel's row loop over just the delta, new
-//! dimension members extend the pass masks and key→ordinal maps — and
-//! re-tags the entries with the new revision. Entries that cannot
-//! absorb a delta (a reference-executor result, mismatched extents,
-//! lane or group-table overflow) are **demoted**: dropped and
-//! recomputed on next read, so incremental maintenance is always an
-//! optimization, never a correctness risk. A rolled-back transaction
-//! leaves the revision — and therefore every cached result — untouched.
+//! Entries keep the [`MaterializedRollup`] that produced them: the
+//! per-group accumulator state with its maintained result. That state
+//! is what makes commits cheap. A committed feed transaction does not
+//! purge the cache; it folds its typed [`WarehouseDelta`] into every
+//! live entry — appended fact rows go through the kernel's row loop
+//! over just the delta, new dimension members extend the pass masks and
+//! key→ordinal maps. Entries that cannot absorb a delta (a
+//! reference-executor result, mismatched extents, lane or group-table
+//! overflow) are **demoted**: dropped and recomputed on next read, so
+//! incremental maintenance is always an optimization, never a
+//! correctness risk. A rolled-back transaction restores the warehouse
+//! to the state the entries describe, so it leaves them alone.
 
 use dwqa_obs::names as obs;
 use dwqa_warehouse::{
@@ -48,7 +51,6 @@ impl Cached {
 }
 
 struct CachedResult {
-    revision: u64,
     cached: Cached,
     last_used: u64,
 }
@@ -58,9 +60,9 @@ struct Inner {
     tick: u64,
 }
 
-/// An LRU cache of [`ResultSet`]s keyed by the query's canonical form,
-/// invalidated by revision, and — for materializable queries — kept
-/// consistent across commits by folding deltas instead of purging.
+/// An LRU cache of [`ResultSet`]s keyed by the query's canonical form
+/// and — for materializable queries — kept consistent across commits by
+/// folding deltas instead of purging.
 pub struct RollupCache {
     capacity: usize,
     /// Demotion threshold for materialized entries; tests shrink it to
@@ -121,16 +123,13 @@ impl RollupCache {
     }
 
     /// Runs `query` against `warehouse`, serving the result from cache
-    /// when one was computed at the same `revision`. Misses build live
-    /// accumulator state where the query shape permits, so later
-    /// commits can maintain the entry in place. Errors are never cached
-    /// (they are cheap to reproduce and carry no scan cost).
-    pub fn run(
-        &self,
-        warehouse: &Warehouse,
-        revision: u64,
-        query: &CubeQuery,
-    ) -> Result<ResultSet> {
+    /// when there is one: whoever mutates `warehouse` must follow with
+    /// [`RollupCache::apply_delta`] or [`RollupCache::clear`] before the
+    /// next run. Misses build live accumulator state where the query
+    /// shape permits, so later commits can maintain the entry in place.
+    /// Errors are never cached (they are cheap to reproduce and carry no
+    /// scan cost).
+    pub fn run(&self, warehouse: &Warehouse, query: &CubeQuery) -> Result<ResultSet> {
         let Ok(key) = serde_json::to_string(query) else {
             return query.run(warehouse);
         };
@@ -138,17 +137,11 @@ impl RollupCache {
             let mut inner = self.inner();
             inner.tick += 1;
             let tick = inner.tick;
-            match inner.map.get_mut(&key) {
-                Some(entry) if entry.revision == revision => {
-                    entry.last_used = tick;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    dwqa_obs::counter_add(obs::WAREHOUSE_ROLLUP_HITS, 1);
-                    return Ok(entry.cached.result().clone());
-                }
-                Some(_) => {
-                    inner.map.remove(&key);
-                }
-                None => {}
+            if let Some(entry) = inner.map.get_mut(&key) {
+                entry.last_used = tick;
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                dwqa_obs::counter_add(obs::WAREHOUSE_ROLLUP_HITS, 1);
+                return Ok(entry.cached.result().clone());
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -170,7 +163,6 @@ impl RollupCache {
             inner.map.insert(
                 key,
                 CachedResult {
-                    revision,
                     cached,
                     last_used: tick,
                 },
@@ -191,13 +183,13 @@ impl RollupCache {
     }
 
     /// Folds a committed transaction's pure-append delta into every
-    /// live entry and re-tags survivors with `revision`; entries that
-    /// cannot absorb it are demoted (dropped, recomputed on next read).
+    /// live entry; entries that cannot absorb it are demoted (dropped,
+    /// recomputed on next read).
     ///
     /// `warehouse` must already be at the delta's after-extents — the
     /// pipeline calls this right after a successful commit, before any
     /// further mutation.
-    pub fn apply_delta(&self, warehouse: &Warehouse, delta: &WarehouseDelta, revision: u64) {
+    pub fn apply_delta(&self, warehouse: &Warehouse, delta: &WarehouseDelta) {
         let mut inner = self.inner();
         inner.map.retain(|_, entry| {
             let folded = match &mut entry.cached {
@@ -211,7 +203,6 @@ impl RollupCache {
             };
             match folded {
                 Some(rows) => {
-                    entry.revision = revision;
                     dwqa_obs::counter_add(obs::WAREHOUSE_DELTA_APPLIED, 1);
                     dwqa_obs::counter_add(obs::WAREHOUSE_DELTA_ROWS, rows as u64);
                 }
@@ -221,13 +212,7 @@ impl RollupCache {
         });
     }
 
-    /// Drops every entry computed against a revision other than
-    /// `revision`.
-    pub fn purge_stale(&self, revision: u64) {
-        self.inner().map.retain(|_, e| e.revision == revision);
-    }
-
-    /// Drops everything.
+    /// Drops everything: what follows a mutation that is not an append.
     pub fn clear(&self) {
         self.inner().map.clear();
     }
@@ -293,33 +278,16 @@ mod tests {
     }
 
     #[test]
-    fn second_run_at_same_revision_is_a_hit() {
+    fn second_run_is_a_hit() {
         let wh = loaded();
         let cache = RollupCache::new(8);
         let q = count_query();
-        let a = cache.run(&wh, 0, &q).unwrap();
-        let b = cache.run(&wh, 0, &q).unwrap();
+        let a = cache.run(&wh, &q).unwrap();
+        let b = cache.run(&wh, &q).unwrap();
         assert_eq!(a, b);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn revision_change_invalidates() {
-        let wh = loaded();
-        let cache = RollupCache::new(8);
-        let q = count_query();
-        cache.run(&wh, 0, &q).unwrap();
-        cache.run(&wh, 1, &q).unwrap();
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 2);
-        // The stale entry was evicted on sight, not left behind.
-        assert_eq!(cache.len(), 1);
-        cache.purge_stale(1);
-        assert_eq!(cache.len(), 1);
-        cache.purge_stale(2);
-        assert_eq!(cache.len(), 0);
     }
 
     #[test]
@@ -334,15 +302,15 @@ mod tests {
                     .aggregate("price", f)
             })
             .collect();
-        cache.run(&wh, 0, &queries[0]).unwrap();
-        cache.run(&wh, 0, &queries[1]).unwrap();
+        cache.run(&wh, &queries[0]).unwrap();
+        cache.run(&wh, &queries[1]).unwrap();
         // Touch the first so the second is the LRU victim.
-        cache.run(&wh, 0, &queries[0]).unwrap();
-        cache.run(&wh, 0, &queries[2]).unwrap();
+        cache.run(&wh, &queries[0]).unwrap();
+        cache.run(&wh, &queries[2]).unwrap();
         assert_eq!(cache.len(), 2);
-        cache.run(&wh, 0, &queries[0]).unwrap();
+        cache.run(&wh, &queries[0]).unwrap();
         assert_eq!(cache.hits(), 2, "first query stayed cached");
-        cache.run(&wh, 0, &queries[1]).unwrap();
+        cache.run(&wh, &queries[1]).unwrap();
         assert_eq!(cache.misses(), 4, "second query was evicted");
     }
 
@@ -351,8 +319,8 @@ mod tests {
         let wh = loaded();
         let cache = RollupCache::new(0);
         let q = count_query();
-        cache.run(&wh, 0, &q).unwrap();
-        cache.run(&wh, 0, &q).unwrap();
+        cache.run(&wh, &q).unwrap();
+        cache.run(&wh, &q).unwrap();
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 2);
         assert!(cache.is_empty());
@@ -363,8 +331,8 @@ mod tests {
         let wh = loaded();
         let cache = RollupCache::new(8);
         let q = CubeQuery::on("Ghost").aggregate("price", AggFn::Count);
-        assert!(cache.run(&wh, 0, &q).is_err());
-        assert!(cache.run(&wh, 0, &q).is_err());
+        assert!(cache.run(&wh, &q).is_err());
+        assert!(cache.run(&wh, &q).is_err());
         assert!(cache.is_empty());
     }
 
@@ -373,7 +341,7 @@ mod tests {
         let mut wh = loaded();
         let cache = RollupCache::new(8);
         let q = count_query();
-        let before = cache.run(&wh, 0, &q).unwrap();
+        let before = cache.run(&wh, &q).unwrap();
         assert_eq!(cache.misses(), 1);
 
         // Commit two more sales, one to a brand-new city.
@@ -387,12 +355,12 @@ mod tests {
         )
         .unwrap();
         let delta = wh.delta_since(&tracker).unwrap();
-        cache.apply_delta(&wh, &delta, 1);
+        cache.apply_delta(&wh, &delta);
 
         // The entry survived the commit and serves the *new* answer as
-        // a hit at the new revision, with no re-execution.
+        // a hit, with no re-execution.
         assert_eq!(cache.len(), 1);
-        let after = cache.run(&wh, 1, &q).unwrap();
+        let after = cache.run(&wh, &q).unwrap();
         assert_eq!(cache.misses(), 1, "maintained entry needs no recompute");
         assert_eq!(cache.hits(), 1);
         assert_ne!(before, after);
@@ -406,18 +374,18 @@ mod tests {
         // commit, so the entry must demote rather than absorb.
         let cache = RollupCache::with_group_limit(8, 1);
         let q = count_query();
-        cache.run(&wh, 0, &q).unwrap();
+        cache.run(&wh, &q).unwrap();
         assert_eq!(cache.len(), 1);
 
         let tracker = wh.delta_tracker();
         wh.load("Last Minute Sales", vec![sale("JFK", "New York", 7, 320.0)])
             .unwrap();
         let delta = wh.delta_since(&tracker).unwrap();
-        cache.apply_delta(&wh, &delta, 1);
+        cache.apply_delta(&wh, &delta);
         assert!(cache.is_empty(), "overgrown entry demoted, not kept stale");
 
         // The next read recomputes correctly.
-        let fresh = cache.run(&wh, 1, &q).unwrap();
+        let fresh = cache.run(&wh, &q).unwrap();
         assert_eq!(fresh, q.execute_reference(&wh).unwrap());
         assert_eq!(cache.misses(), 2);
     }

@@ -1,9 +1,10 @@
 //! The answer cache: a lock-striped LRU map keyed on *normalized*
-//! question text, with every entry tagged by the warehouse revision it
-//! was computed against. When the feedback ETL mutates the warehouse the
-//! pipeline bumps its revision (see [`dwqa_core::ReadPath::revision`]);
-//! stale entries are then dropped lazily on lookup or eagerly via
-//! [`AnswerCache::purge_stale`].
+//! question text. An answer is a pure function of the question and the
+//! QA index, which is immutable once built, so an entry never goes
+//! stale: the feedback ETL only writes into the warehouse and a commit
+//! leaves this cache alone. The one other input — the engine's optional
+//! document source — is not in the key; the engine clears the cache
+//! when the source changes.
 //!
 //! The map is split into [`DEFAULT_SHARDS`] independently-locked shards
 //! selected by the key's hash, so concurrent workers answering different
@@ -43,7 +44,6 @@ pub fn normalize_question(question: &str) -> String {
 
 #[derive(Debug, Clone)]
 struct Entry {
-    revision: u64,
     answers: Vec<Answer>,
     last_used: u64,
 }
@@ -110,7 +110,7 @@ impl AnswerCache {
         &self.shards[idx]
     }
 
-    /// Entries currently cached (fresh and stale alike). Lock-free: sums
+    /// Entries currently cached. Lock-free: sums
     /// the per-shard atomic counters, so stats reads never contend with
     /// answering workers.
     pub fn len(&self) -> usize {
@@ -125,31 +125,19 @@ impl AnswerCache {
         self.len() == 0
     }
 
-    /// Looks up a normalized key. Returns the cached answers only when
-    /// the entry was computed against `revision`; a stale entry is
-    /// removed and reported as a miss.
-    pub fn lookup(&self, key: &str, revision: u64) -> Option<Vec<Answer>> {
-        let shard = self.shard_of(key);
-        let mut inner = shard.inner.lock();
+    /// Looks up a normalized key, refreshing the entry's recency.
+    pub fn lookup(&self, key: &str) -> Option<Vec<Answer>> {
+        let mut inner = self.shard_of(key).inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(entry) if entry.revision == revision => {
-                entry.last_used = tick;
-                Some(entry.answers.clone())
-            }
-            Some(_) => {
-                inner.map.remove(key);
-                shard.entries.fetch_sub(1, Ordering::Relaxed);
-                None
-            }
-            None => None,
-        }
+        let entry = inner.map.get_mut(key)?;
+        entry.last_used = tick;
+        Some(entry.answers.clone())
     }
 
-    /// Stores answers computed against `revision`, evicting the shard's
-    /// least recently used entry when the shard is full.
-    pub fn store(&self, key: String, revision: u64, answers: Vec<Answer>) {
+    /// Stores a question's answers, evicting the shard's least recently
+    /// used entry when the shard is full.
+    pub fn store(&self, key: String, answers: Vec<Answer>) {
         if self.capacity == 0 {
             return;
         }
@@ -160,7 +148,6 @@ impl AnswerCache {
         let replaced = inner.map.insert(
             key,
             Entry {
-                revision,
                 answers,
                 last_used: tick,
             },
@@ -182,23 +169,6 @@ impl AnswerCache {
                 None => break,
             };
         }
-    }
-
-    /// Eagerly drops every entry not computed against `revision`,
-    /// returning how many were removed.
-    pub fn purge_stale(&self, revision: u64) -> usize {
-        let mut dropped = 0;
-        for shard in &self.shards {
-            let mut inner = shard.inner.lock();
-            let before = inner.map.len();
-            inner.map.retain(|_, e| e.revision == revision);
-            let removed = before - inner.map.len();
-            if removed > 0 {
-                shard.entries.fetch_sub(removed, Ordering::Relaxed);
-            }
-            dropped += removed;
-        }
-        dropped
     }
 
     /// Drops everything.
@@ -228,95 +198,60 @@ mod tests {
         assert_eq!(normalize_question("¿Dónde está?"), "¿donde esta");
     }
 
-    #[test]
-    fn lookup_respects_revision() {
-        let cache = AnswerCache::new(8);
-        cache.store("q".into(), 0, vec![]);
-        assert!(cache.lookup("q", 0).is_some());
-        // Same key at a newer revision: stale, dropped.
-        assert!(cache.lookup("q", 1).is_none());
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn purge_drops_only_stale_entries() {
-        let cache = AnswerCache::new(8);
-        cache.store("old".into(), 0, vec![]);
-        cache.store("new".into(), 3, vec![]);
-        assert_eq!(cache.purge_stale(3), 1);
-        assert!(cache.lookup("new", 3).is_some());
-        assert!(cache.lookup("old", 3).is_none());
-    }
-
     // The exact-LRU tests pin the eviction order down to single entries,
     // which only holds when all keys share one stripe: run them on a
     // single-shard cache.
     #[test]
     fn lru_eviction_keeps_recently_used_entries() {
         let cache = AnswerCache::with_shards(2, 1);
-        cache.store("a".into(), 0, vec![]);
-        cache.store("b".into(), 0, vec![]);
+        cache.store("a".into(), vec![]);
+        cache.store("b".into(), vec![]);
         // Touch "a" so "b" is the least recently used.
-        assert!(cache.lookup("a", 0).is_some());
-        cache.store("c".into(), 0, vec![]);
+        assert!(cache.lookup("a").is_some());
+        cache.store("c".into(), vec![]);
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup("a", 0).is_some());
-        assert!(cache.lookup("b", 0).is_none());
-        assert!(cache.lookup("c", 0).is_some());
+        assert!(cache.lookup("a").is_some());
+        assert!(cache.lookup("b").is_none());
+        assert!(cache.lookup("c").is_some());
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let cache = AnswerCache::new(0);
-        cache.store("q".into(), 0, vec![]);
-        assert!(cache.lookup("q", 0).is_none());
+        cache.store("q".into(), vec![]);
+        assert!(cache.lookup("q").is_none());
     }
 
     #[test]
     fn eviction_follows_exact_lru_order() {
         let cache = AnswerCache::with_shards(3, 1);
-        cache.store("a".into(), 0, vec![]);
-        cache.store("b".into(), 0, vec![]);
-        cache.store("c".into(), 0, vec![]);
+        cache.store("a".into(), vec![]);
+        cache.store("b".into(), vec![]);
+        cache.store("c".into(), vec![]);
         // Recency, oldest first, is now a < b < c. Touch "a", making
         // "b" the LRU entry; then each overflow must evict exactly the
         // current LRU, never insertion order.
-        assert!(cache.lookup("a", 0).is_some()); // b < c < a
-        cache.store("d".into(), 0, vec![]); // evicts b
-        assert!(cache.lookup("b", 0).is_none()); // c < a < d
-        cache.store("e".into(), 0, vec![]); // evicts c
-        assert!(cache.lookup("c", 0).is_none());
+        assert!(cache.lookup("a").is_some()); // b < c < a
+        cache.store("d".into(), vec![]); // evicts b
+        assert!(cache.lookup("b").is_none()); // c < a < d
+        cache.store("e".into(), vec![]); // evicts c
+        assert!(cache.lookup("c").is_none());
         for key in ["a", "d", "e"] {
-            assert!(cache.lookup(key, 0).is_some(), "{key} must survive");
+            assert!(cache.lookup(key).is_some(), "{key} must survive");
         }
     }
 
     #[test]
-    fn re_store_refreshes_recency_and_revision() {
+    fn re_store_refreshes_recency() {
         let cache = AnswerCache::with_shards(2, 1);
-        cache.store("a".into(), 0, vec![]);
-        cache.store("b".into(), 0, vec![]);
-        // Re-storing "a" at a newer revision refreshes both its recency
-        // (so "b" is evicted next) and its revision tag.
-        cache.store("a".into(), 1, vec![]);
-        cache.store("c".into(), 1, vec![]); // evicts b
-        assert!(cache.lookup("b", 1).is_none());
-        assert!(cache.lookup("a", 1).is_some());
-        assert!(cache.lookup("a", 0).is_none(), "old revision is gone");
-    }
-
-    #[test]
-    fn stale_lookup_removes_the_entry_without_touching_others() {
-        let cache = AnswerCache::new(4);
-        cache.store("old".into(), 0, vec![]);
-        cache.store("fresh".into(), 2, vec![]);
+        cache.store("a".into(), vec![]);
+        cache.store("b".into(), vec![]);
+        // Re-storing "a" makes "b" the least recently used.
+        cache.store("a".into(), vec![]);
+        cache.store("c".into(), vec![]); // evicts b
         assert_eq!(cache.len(), 2);
-        // A stale hit is dropped eagerly on lookup…
-        assert!(cache.lookup("old", 2).is_none());
-        assert_eq!(cache.len(), 1);
-        // …and purging afterwards finds nothing left to remove.
-        assert_eq!(cache.purge_stale(2), 0);
-        assert!(cache.lookup("fresh", 2).is_some());
+        assert!(cache.lookup("b").is_none());
+        assert!(cache.lookup("a").is_some());
     }
 
     #[test]
@@ -326,22 +261,17 @@ mod tests {
         let cache = AnswerCache::with_shards(320, 8);
         assert_eq!(cache.shards(), 8);
         for i in 0..40 {
-            cache.store(format!("question {i}"), 0, vec![]);
+            cache.store(format!("question {i}"), vec![]);
         }
         assert_eq!(cache.len(), 40);
         // Re-storing existing keys must not double-count.
         for i in 0..40 {
-            cache.store(format!("question {i}"), 0, vec![]);
+            cache.store(format!("question {i}"), vec![]);
         }
         assert_eq!(cache.len(), 40);
-        // Lookups at a newer revision drop entries one by one.
-        for i in 0..10 {
-            assert!(cache.lookup(&format!("question {i}"), 1).is_none());
-        }
-        assert_eq!(cache.len(), 30);
-        assert_eq!(cache.purge_stale(1), 30);
+        cache.clear();
         assert!(cache.is_empty());
-        cache.store("back".into(), 1, vec![]);
+        cache.store("back".into(), vec![]);
         assert_eq!(cache.len(), 1);
         cache.clear();
         assert!(cache.is_empty());
@@ -353,7 +283,7 @@ mod tests {
         // the configured capacity even under heavy overflow.
         let cache = AnswerCache::with_shards(16, 4);
         for i in 0..200 {
-            cache.store(format!("q{i}"), 0, vec![]);
+            cache.store(format!("q{i}"), vec![]);
         }
         assert!(cache.len() <= 16, "len {} > capacity 16", cache.len());
         assert!(cache.len() >= 4, "every stripe should retain entries");
@@ -368,12 +298,12 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..200 {
                         let key = format!("thread {t} question {i}");
-                        cache.store(key.clone(), 0, vec![]);
+                        cache.store(key.clone(), vec![]);
                         // Under contention another thread may already
                         // have evicted the key from a shared stripe, so
                         // only exercise the read path, don't assert a
                         // hit.
-                        let _ = cache.lookup(&key, 0);
+                        let _ = cache.lookup(&key);
                         // len() must be callable concurrently without
                         // deadlock or panic.
                         let _ = cache.len();
@@ -384,13 +314,9 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        // Counter mirror and map agree after the dust settles: purging
-        // with the live revision touches nothing, and a full clear
-        // zeroes the counters.
-        let before = cache.len();
-        assert!(before <= 256);
-        assert_eq!(cache.purge_stale(0), 0);
-        assert_eq!(cache.len(), before);
+        // The counter mirror never ran past the capacity, and a full
+        // clear zeroes it.
+        assert!(cache.len() <= 256);
         cache.clear();
         assert_eq!(cache.len(), 0);
     }

@@ -11,8 +11,8 @@
 //!   answers question batches in parallel and merges results in input
 //!   order, so reports are deterministic no matter how work interleaves;
 //! * [`AnswerCache`] — a bounded LRU cache keyed on normalized question
-//!   text, with entries tagged by the warehouse revision and invalidated
-//!   when feedback ETL mutates the warehouse;
+//!   text; answers are pure functions of the question and the immutable
+//!   index, so feedback ETL never invalidates an entry;
 //! * [`EngineStats`] — lock-free per-stage counters and latency
 //!   histograms, rendered by the REPL and the experiment binaries;
 //! * [`QaSession`] — the session-oriented user API

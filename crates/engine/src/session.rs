@@ -89,14 +89,18 @@ impl QaEngine {
     /// passage documents through it and re-validates extracted answers
     /// against the fetched bodies.
     pub fn with_source(mut self, source: Arc<dyn DocumentSource>) -> QaEngine {
-        self.source = Some(source);
+        self.set_source(Some(source));
         self
     }
 
     /// Sets or clears the document source in place (the REPL's `:chaos`
-    /// toggle).
+    /// toggle). The source is the one input to an answer that is not in
+    /// the cache key, so the cache is cleared: a question answered under
+    /// the previous source must reach acquisition and re-validation
+    /// again.
     pub fn set_source(&mut self, source: Option<Arc<dyn DocumentSource>>) {
         self.source = source;
+        self.cache.clear();
     }
 
     /// Gives every question a wall-clock budget; on expiry the question
@@ -130,15 +134,6 @@ impl QaEngine {
     /// (0 disables caching).
     pub fn with_cache_capacity(mut self, capacity: usize) -> QaEngine {
         self.cache = AnswerCache::new(capacity);
-        self
-    }
-
-    /// Replaces the answer cache with one of the given capacity and an
-    /// explicit lock-stripe count (see [`AnswerCache::with_shards`]).
-    /// One shard gives exact global LRU; more shards trade eviction
-    /// precision for lower lock contention across workers.
-    pub fn with_cache_sharding(mut self, capacity: usize, shards: usize) -> QaEngine {
-        self.cache = AnswerCache::with_shards(capacity, shards);
         self
     }
 
@@ -193,14 +188,9 @@ impl QaEngine {
         &self.cache
     }
 
-    /// The underlying read path.
-    pub fn read_path(&self) -> &ReadPath {
-        &self.read
-    }
-
-    /// Answers one question, consulting the cache first. A cached entry
-    /// is served only if it was computed against the current warehouse
-    /// revision; feedback ETL therefore invalidates it.
+    /// Answers one question, consulting the cache first. Answers depend
+    /// on the question and the immutable QA index only, so feedback ETL
+    /// never invalidates an entry.
     ///
     /// Shorthand for [`QaEngine::answer_checked`] when the outcome tag is
     /// not needed.
@@ -267,8 +257,7 @@ impl QaEngine {
     /// The guarded answer path (runs under `catch_unwind`).
     fn answer_guarded(&self, question: &str, deadline: Option<Instant>) -> QuestionReport {
         let key = normalize_question(question);
-        let revision = self.read.revision();
-        if let Some(hit) = self.cache.lookup(&key, revision) {
+        if let Some(hit) = self.cache.lookup(&key) {
             self.stats.record_cache_hit();
             dwqa_obs::root_field("cache", "hit");
             return QuestionReport::ok(hit);
@@ -367,7 +356,7 @@ impl QaEngine {
             // copies and produce a first-class result.
             return QuestionReport::degraded(answers, faults.join("; "));
         }
-        self.cache.store(key, revision, answers.clone());
+        self.cache.store(key, answers.clone());
         QuestionReport::ok(answers)
     }
 
@@ -564,7 +553,7 @@ impl SubmitBatch for IntegrationPipeline {
         // Write phase: one all-or-nothing transaction, serialized in
         // input order, so on commit the warehouse ends in exactly the
         // state sequential ask-and-feed would produce — and on failure
-        // it is untouched (no partial load, no spurious revision bump).
+        // it is untouched (no partial load).
         let batches: Vec<&[Answer]> = reports.iter().map(|r| r.answers.as_slice()).collect();
         let t = Instant::now();
         // The write phase gets its own observation, so the feed

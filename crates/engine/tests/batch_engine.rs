@@ -1,8 +1,8 @@
 //! Concurrency tests for the batch engine: batch submission must be
 //! indistinguishable from a sequential answer-then-feed loop over the
 //! read path — same answers, same warehouse — for any subset and order
-//! of questions, and the answer cache must invalidate when feedback
-//! mutates the warehouse.
+//! of questions, and the answer cache must keep serving across feedback,
+//! which mutates only the warehouse.
 
 use dwqa_bench::{build_fixture, daily_questions, monthly_question, FixtureConfig};
 use dwqa_common::{Date, Month};
@@ -152,7 +152,7 @@ fn batch_answers_are_input_ordered_and_worker_count_independent() {
 }
 
 #[test]
-fn cache_serves_repeats_and_feedback_invalidates() {
+fn cache_serves_repeats_and_survives_feedback() {
     let mut pipeline = small_fixture();
     let engine = QaEngine::new(&pipeline);
     let q = monthly_question("Barcelona", 2004, Month::January);
@@ -170,29 +170,12 @@ fn cache_serves_repeats_and_feedback_invalidates() {
     );
     assert_eq!(engine.stats().cache_hits(), 2);
 
-    // Feedback ETL mutates the warehouse: the revision moves and the
-    // cached entry must not be served any more.
-    let revision_before = engine.read_path().revision();
-    pipeline.apply_feedback(&first);
-    assert!(engine.read_path().revision() > revision_before);
-    assert_eq!(engine.answer(&q), first); // recomputed, same pure answers
-    assert_eq!(engine.stats().cache_misses(), 2);
-
-    // A feed that only skips duplicates loads nothing, so it must NOT
-    // invalidate: the freshly recomputed entry keeps serving hits.
-    let revision_before = engine.read_path().revision();
-    let report = pipeline.apply_feedback(&first);
-    assert_eq!(report.loaded, 0);
-    assert_eq!(engine.read_path().revision(), revision_before);
+    // Feedback ETL writes into the warehouse, which no answer reads:
+    // the entry keeps being served.
+    assert!(pipeline.apply_feedback(&first).loaded > 0);
     assert_eq!(engine.answer(&q), first);
-    assert_eq!(engine.stats().cache_misses(), 2); // still 2 — that was a hit
-
-    // The stale entry is also purgeable eagerly.
-    engine.answer(&q);
-    let cached = engine.cache().len();
-    assert!(cached > 0);
-    assert_eq!(engine.cache().purge_stale(u64::MAX), cached);
-    assert!(engine.cache().is_empty());
+    assert_eq!(engine.stats().cache_misses(), 1, "the re-ask was a hit");
+    assert_eq!(engine.stats().cache_hits(), 3);
 }
 
 #[test]

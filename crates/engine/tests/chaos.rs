@@ -5,7 +5,9 @@
 //! CI runs this suite with two fixed seeds plus one derived from the run
 //! number via `DWQA_CHAOS_SEED` (printed below for reproducibility).
 
-use dwqa_bench::{build_fixture, daily_questions, monthly_question, FixtureConfig};
+use dwqa_bench::{
+    build_fixture, cached_rollup, daily_questions, monthly_question, weather_by_city, FixtureConfig,
+};
 use dwqa_common::Month;
 use dwqa_core::{FeedFault, IntegrationPipeline};
 use dwqa_corpus::PageStyle;
@@ -118,8 +120,8 @@ proptest! {
         prop_assert_eq!(engine.stats().outcomes_panicked(), 0);
     }
 
-    /// A rolled-back feed leaves the warehouse fact counts and the cache
-    /// revision identical to the pre-feed snapshot, for any fault seed.
+    /// A rolled-back feed leaves the warehouse fact counts and a cached
+    /// roll-up identical to the pre-feed snapshot, for any fault seed.
     #[test]
     fn rolled_back_feed_restores_the_snapshot(seed in 0u64..1_000_000) {
         let mut pipeline = small_fixture();
@@ -133,7 +135,8 @@ proptest! {
             .fact("City Weather")
             .expect("schema has the weather star")
             .len();
-        let revision_before = pipeline.revision();
+        let by_city = weather_by_city();
+        let cached = pipeline.rollup(&by_city).expect("roll-up runs");
 
         let report = pipeline.submit_batch_with(&engine, &questions);
         prop_assert!(report.rolled_back);
@@ -143,7 +146,7 @@ proptest! {
             pipeline.warehouse.fact("City Weather").expect("weather star").len(),
             facts_before
         );
-        prop_assert_eq!(pipeline.revision(), revision_before, "no spurious cache bump");
+        prop_assert_eq!(&cached_rollup(&pipeline, &by_city), &cached, "rollback kept it");
         prop_assert_eq!(pipeline.warehouse.snapshot(), snapshot_before);
         prop_assert_eq!(engine.stats().rollbacks(), 1);
 
@@ -153,7 +156,7 @@ proptest! {
         let report = pipeline.submit_batch_with(&engine, &questions);
         prop_assert!(!report.rolled_back);
         prop_assert!(report.feed.loaded > 0);
-        prop_assert_eq!(pipeline.revision(), revision_before + 1);
+        prop_assert_ne!(&cached_rollup(&pipeline, &by_city), &cached, "commit folded in");
     }
 }
 
@@ -190,6 +193,24 @@ fn permanent_failure_yields_source_unavailable_within_deadline() {
     assert_eq!(engine.stats().worker_deaths(), 0);
     assert!(!report.rolled_back);
     assert_eq!(report.feed.loaded, 0, "nothing to load from empty answers");
+}
+
+/// The source is the one input to an answer that is not in the cache
+/// key: an answer cached without it must not be served once it is
+/// attached.
+#[test]
+fn attaching_a_source_drops_answers_cached_without_it() {
+    let pipeline = small_fixture();
+    let mut engine = QaEngine::new(&pipeline);
+    let q = monthly_question("Barcelona", 2004, Month::January);
+    assert_eq!(engine.answer_checked(&q).outcome, AnswerOutcome::Ok);
+    assert_eq!(engine.cache().len(), 1);
+
+    let source = chaos_source(&pipeline, FaultPlan::new(1).with_not_found(1.0));
+    engine.set_source(Some(source));
+    let report = engine.answer_checked(&q);
+    assert_eq!(report.outcome, AnswerOutcome::SourceUnavailable);
+    assert!(report.answers.is_empty());
 }
 
 #[test]

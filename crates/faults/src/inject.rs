@@ -1,7 +1,8 @@
 //! Deterministic, seed-driven fault injection over any [`DocumentSource`].
 
 use crate::source::{DocumentSource, Fetched, Integrity, SourceError, SourceHealth};
-use crate::{hash_str, mix, unit_float};
+use crate::{hash_str, unit_float};
+use dwqa_common::mix64;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -145,12 +146,13 @@ impl<S: DocumentSource> FaultInjector<S> {
 
     /// A uniform roll in `[0,1)` for (url, attempt, salt).
     fn roll(&self, url: &str, attempt: u64, salt: u64) -> f64 {
-        unit_float(mix(self
-            .plan
-            .seed
-            .wrapping_add(hash_str(url))
-            .wrapping_add(attempt.wrapping_mul(0x9E37_79B9))
-            .wrapping_add(salt.wrapping_mul(0x85EB_CA6B))))
+        unit_float(mix64(
+            self.plan
+                .seed
+                .wrapping_add(hash_str(url))
+                .wrapping_add(attempt.wrapping_mul(0x9E37_79B9))
+                .wrapping_add(salt.wrapping_mul(0x85EB_CA6B)),
+        ))
     }
 
     fn inject(&self, kind: &'static str) {
@@ -194,7 +196,7 @@ impl<S: DocumentSource> DocumentSource for FaultInjector<S> {
 
     fn fetch_by(&self, url: &str, deadline: Option<Instant>) -> Result<Fetched, SourceError> {
         // Permanent 404: decided from the URL alone, attempt-independent.
-        if unit_float(mix(self.plan.seed ^ hash_str(url) ^ 0x404)) < self.plan.not_found {
+        if unit_float(mix64(self.plan.seed ^ hash_str(url) ^ 0x404)) < self.plan.not_found {
             self.inject("not_found");
             return Err(SourceError::NotFound(url.to_owned()));
         }

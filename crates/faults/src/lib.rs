@@ -52,17 +52,6 @@ pub use link::{LinkAction, LinkDecision, LinkFault, LinkPlan};
 pub use retry::{BreakerState, ResilientSource, RetryPolicy, RetryPolicyBuilder};
 pub use source::{CorpusSource, DocumentSource, Fetched, Integrity, SourceError, SourceHealth};
 
-/// SplitMix64 — the workspace's standard deterministic hash/stream mixer
-/// (also used by the vendored `rand`). All fault and jitter decisions
-/// derive from it so runs are reproducible from their seeds alone.
-pub(crate) fn mix(mut state: u64) -> u64 {
-    state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A deterministic hash of a string (FNV-1a), for keying fault decisions
 /// off URLs without depending on `std`'s randomized hasher.
 pub(crate) fn hash_str(s: &str) -> u64 {
@@ -82,17 +71,18 @@ pub(crate) fn unit_float(h: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dwqa_common::mix64;
 
     #[test]
     fn mix_is_deterministic_and_spreads() {
-        assert_eq!(mix(42), mix(42));
-        assert_ne!(mix(42), mix(43));
+        assert_eq!(mix64(42), mix64(42));
+        assert_ne!(mix64(42), mix64(43));
     }
 
     #[test]
     fn unit_float_is_in_range() {
         for i in 0..1000 {
-            let f = unit_float(mix(i));
+            let f = unit_float(mix64(i));
             assert!((0.0..1.0).contains(&f), "{f}");
         }
     }

@@ -14,7 +14,8 @@
 //! negotiation (resubscribe from the last applied sequence) and
 //! dedup by frame sequence number; `exp_failover` (E18) proves it.
 
-use crate::{mix, unit_float};
+use crate::unit_float;
+use dwqa_common::mix64;
 use std::time::Duration;
 
 const SALT_DROP: u64 = 0x4452; // "DR"
@@ -113,8 +114,8 @@ impl LinkPlan {
     }
 
     fn unit(&self, event: u64, salt: u64) -> f64 {
-        unit_float(mix(
-            self.seed ^ mix(event.wrapping_mul(0x9E37).wrapping_add(salt))
+        unit_float(mix64(
+            self.seed ^ mix64(event.wrapping_mul(0x9E37).wrapping_add(salt)),
         ))
     }
 
@@ -122,7 +123,7 @@ impl LinkPlan {
         if bound == 0 {
             return 0;
         }
-        mix(self.seed ^ mix(event.wrapping_add(SALT_POINT))) % bound
+        mix64(self.seed ^ mix64(event.wrapping_add(SALT_POINT))) % bound
     }
 }
 

@@ -2,8 +2,8 @@
 //! per-URL circuit breaker.
 
 use crate::source::{DocumentSource, Fetched, SourceError, SourceHealth};
-use crate::{hash_str, mix, unit_float};
-use dwqa_common::ConfigError;
+use crate::{hash_str, unit_float};
+use dwqa_common::{mix64, ConfigError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,10 +107,11 @@ impl RetryPolicy {
         let exp = self.multiplier.powi(retry.saturating_sub(1) as i32);
         let raw = self.base_backoff.as_secs_f64() * exp;
         let capped = raw.min(self.max_backoff.as_secs_f64());
-        let roll = unit_float(mix(self
-            .jitter_seed
-            .wrapping_add(hash_str(url))
-            .wrapping_add(u64::from(retry).wrapping_mul(0xC2B2_AE35))));
+        let roll = unit_float(mix64(
+            self.jitter_seed
+                .wrapping_add(hash_str(url))
+                .wrapping_add(u64::from(retry).wrapping_mul(0xC2B2_AE35)),
+        ));
         let factor = 1.0 + self.jitter.clamp(0.0, 1.0) * (2.0 * roll - 1.0);
         Duration::from_secs_f64((capped * factor).max(0.0))
     }

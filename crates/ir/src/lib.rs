@@ -23,7 +23,7 @@
 //!   postings, and only documents that can still reach the top `k` are
 //!   scored ([`passage::RetrievalStats`] reports the pruning);
 //! * [`mdir`] — the multidimensional-IR **baseline** of McCabe et al.
-//!   (SIGIR 2000, the paper's reference [11]): documents categorised along
+//!   (SIGIR 2000, the paper's reference \[11\]): documents categorised along
 //!   location × time dimensions, filtered OLAP-style before term search;
 //! * [`testing`] — the exhaustive reference scan passage retrieval is
 //!   tested and benchmarked against.

@@ -1,6 +1,6 @@
 //! IR-n passage retrieval.
 //!
-//! IR-n (the paper's reference [9], AliQAn's Module 2 back end) ranks
+//! IR-n (the paper's reference \[9\], AliQAn's Module 2 back end) ranks
 //! *passages* — windows of `n` consecutive sentences — instead of whole
 //! documents, so the QA extractor works on a small, dense piece of text.
 //! The paper's footnote 6 fixes `n = 8` for its experiment; the window
@@ -330,7 +330,7 @@ impl PassageRetriever {
     /// Compiles a weighted term sequence into a [`PassageQuery`]: terms
     /// are case-folded, duplicates are merged (max weight,
     /// first-occurrence order kept), out-of-vocabulary terms and
-    /// occurrences with an unusable weight ([`usable_weight`]) are
+    /// occurrences with an unusable weight (`usable_weight`) are
     /// dropped, and each surviving term's weight is scaled by its IDF
     /// (which is > 0). No strings are interned, and none are cloned
     /// unless a term needs folding — terms are resolved against the

@@ -2,7 +2,7 @@
 //!
 //! A pattern constrains the interrogative word, optionally requires a
 //! copular verb, and semantically constrains the question *focus* (the
-//! noun after the wh-word) through the ontology: "[WHICH] [synonym of
+//! noun after the wh-word) through the ontology: "\[WHICH\] [synonym of
 //! COUNTRY] […]" matches any focus that is a synonym or hyponym of
 //! `country` in the merged ontology. The paper's Step 4 tunes the system
 //! by *adding* patterns — [`temperature_pattern`] is exactly the one its
@@ -268,7 +268,7 @@ pub fn default_patterns() -> Vec<QuestionPattern> {
 }
 
 /// The Step-4 tuned pattern of the paper's experiment:
-/// "[WHAT] [to be] [synonym of weather | temperature] …" →
+/// "\[WHAT\] [to be] [synonym of weather | temperature] …" →
 /// `Number + [ºC | F]`.
 pub fn temperature_pattern() -> QuestionPattern {
     QuestionPattern::new("weather-temperature", AnswerType::NumericalTemperature)

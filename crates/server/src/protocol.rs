@@ -394,8 +394,6 @@ pub struct ServiceStats {
     /// the cache's per-shard counters, so the `stats` verb never queues
     /// behind answering workers.
     pub cache_entries: u64,
-    /// Warehouse revision visible on the read path.
-    pub revision: u64,
     /// True when the pipeline has a durable feedback store attached,
     /// so `feedback` commits are WAL-logged before the `ok` response.
     pub durable: bool,

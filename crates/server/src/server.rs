@@ -139,7 +139,6 @@ impl Shared {
             cache_hits: stats.cache_hits(),
             cache_misses: stats.cache_misses(),
             cache_entries: self.engine.cache().len() as u64,
-            revision: self.engine.read_path().revision(),
             durable: self.durable,
             wal_appends: self.registry.counter_value(names::STORE_WAL_APPENDS),
         }

@@ -1,7 +1,7 @@
 //! Public streaming frame codec for WAL shipping over a replication
 //! link.
 //!
-//! The on-disk WAL format (see [`crate::wal`]) is also the wire format:
+//! The on-disk WAL format (the `wal` module) is also the wire format:
 //! a primary ships the exact frames it writes locally, a standby feeds
 //! received bytes into a [`FrameStream`] and gets back validated
 //! [`Frame`]s. Three additional control magics ride the same framing —

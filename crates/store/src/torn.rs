@@ -18,6 +18,8 @@
 //! is reopened (recovered), mirroring how a real process would have to
 //! restart.
 
+use dwqa_common::mix64;
+
 /// Rates for each torn-write fault, rolled independently per append.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TornPlan {
@@ -121,15 +123,6 @@ const SALT_FSYNC: u64 = 0x4653;
 const SALT_DUP: u64 = 0x4455;
 const SALT_POINT: u64 = 0x5054;
 
-/// SplitMix64 finalizer — the same bit mixer the fault and feed layers
-/// use for deterministic seeded rolls.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl TornWriter {
     /// Wraps a plan.
     pub fn new(plan: TornPlan) -> TornWriter {
@@ -142,7 +135,7 @@ impl TornWriter {
     }
 
     fn unit(&self, seq: u64, salt: u64) -> f64 {
-        let h = mix(self.plan.seed ^ mix(seq.wrapping_mul(0x9E37).wrapping_add(salt)));
+        let h = mix64(self.plan.seed ^ mix64(seq.wrapping_mul(0x9E37).wrapping_add(salt)));
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
 
@@ -150,7 +143,7 @@ impl TornWriter {
         if bound == 0 {
             0
         } else {
-            mix(self.plan.seed ^ mix(seq.wrapping_add(SALT_POINT))) % bound
+            mix64(self.plan.seed ^ mix64(seq.wrapping_add(SALT_POINT))) % bound
         }
     }
 

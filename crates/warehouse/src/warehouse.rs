@@ -143,7 +143,7 @@ impl Warehouse {
     /// Rows are processed independently: a bad row is recorded in the
     /// report's `rejected` list and the rest of the batch continues. Member
     /// specs for date dimensions get their calendar levels auto-derived
-    /// (see [`autofill_date_levels`]).
+    /// (`autofill_date_levels`).
     pub fn load(&mut self, fact_name: &str, rows: Vec<FactRow>) -> Result<EtlReport> {
         let (fact_id, fact_model) = self
             .schema

@@ -19,17 +19,16 @@ use proptest::prelude::*;
 
 /// Drives one decoded interleaving through a [`RollupCache`], playing
 /// the pipeline's part: commits capture an append delta and fold it into
-/// the registry at a bumped revision; rollbacks and crash-recoveries
-/// replace the warehouse with identical content and leave both the
-/// revision and the registry untouched. Every query op must match a cold
-/// [`CubeQuery::execute_reference`] recompute exactly.
+/// the registry; rollbacks and crash-recoveries replace the warehouse
+/// with identical content and leave the registry untouched. Every query
+/// op must match a cold [`CubeQuery::execute_reference`] recompute
+/// exactly.
 fn check_cache_interleaving(init_seed: u64, op_seed: u64, query_seeds: &[u64], group_limit: usize) {
     let mut m = Mix(init_seed);
     let init_rows: Vec<u64> = (0..m.below(30)).map(|_| m.word()).collect();
     let mut wh = build_warehouse(&init_rows);
     let queries: Vec<CubeQuery> = query_seeds.iter().map(|&s| build_query(s)).collect();
     let cache = RollupCache::with_group_limit(8, group_limit);
-    let mut revision = 0u64;
 
     let mut ops = Mix(op_seed);
     let n_ops = ops.below(8) + 2;
@@ -44,13 +43,12 @@ fn check_cache_interleaving(init_seed: u64, op_seed: u64, query_seeds: &[u64], g
                 let seeds: Vec<u64> = (0..ops.below(4) + 1).map(|_| ops.word()).collect();
                 wh.load("Last Minute Sales", sales_batch(&seeds)).unwrap();
                 let delta = wh.delta_since(&tracker).expect("load is a pure append");
-                revision += 1;
-                cache.apply_delta(&wh, &delta, revision);
+                cache.apply_delta(&wh, &delta);
             }
             1 => {
                 // Rollback: load, then abandon by restoring the
-                // pre-load snapshot. No delta, no revision bump — the
-                // restored content is exactly what the cache observed.
+                // pre-load snapshot. No delta — the restored content is
+                // exactly what the cache observed.
                 let before = wh.snapshot();
                 let seeds: Vec<u64> = (0..ops.below(4) + 1).map(|_| ops.word()).collect();
                 wh.load("Last Minute Sales", sales_batch(&seeds)).unwrap();
@@ -65,7 +63,7 @@ fn check_cache_interleaving(init_seed: u64, op_seed: u64, query_seeds: &[u64], g
             }
             _ => {
                 for q in &queries {
-                    let got = cache.run(&wh, revision, q);
+                    let got = cache.run(&wh, q);
                     let want = q.execute_reference(&wh);
                     match (&got, &want) {
                         (Ok(a), Ok(b)) => {

@@ -42,12 +42,11 @@ fn weather(city: &str, day: u32, temperature: f64) -> FactRow {
     b.build()
 }
 
-/// A warehouse, its cache and the revision, committing the way the
-/// pipeline does, with every counter the two emit in `registry`.
+/// A warehouse and its cache, committing the way the pipeline
+/// does, with every counter the two emit in `registry`.
 struct Harness {
     wh: Warehouse,
     cache: RollupCache,
-    revision: u64,
     registry: Arc<MetricsRegistry>,
 }
 
@@ -56,7 +55,6 @@ impl Harness {
         Harness {
             wh: Warehouse::new(integrated_schema()),
             cache,
-            revision: 0,
             registry: Arc::new(MetricsRegistry::new()),
         }
     }
@@ -67,14 +65,13 @@ impl Harness {
         let report = self.wh.load(fact, rows).unwrap();
         assert!(report.rejected.is_empty());
         let delta = self.wh.delta_since(&tracker).unwrap();
-        self.revision += 1;
-        self.cache.apply_delta(&self.wh, &delta, self.revision);
+        self.cache.apply_delta(&self.wh, &delta);
     }
 
     /// Reads through the cache and checks the answer against the oracle.
     fn read(&self, query: &CubeQuery) {
         let _obs = dwqa_obs::observe(Some(Arc::clone(&self.registry)), None, "test", "read");
-        let got = self.cache.run(&self.wh, self.revision, query).unwrap();
+        let got = self.cache.run(&self.wh, query).unwrap();
         assert_eq!(got, query.execute_reference(&self.wh).unwrap(), "{query:?}");
     }
 
@@ -135,8 +132,8 @@ fn a_zero_group_query_is_maintained_from_its_first_row() {
 }
 
 /// A commit to `City Weather` leaves a `Last Minute Sales` entry as it
-/// is, new member of a dimension it groups on or not: same result, a hit
-/// at the new revision, nothing materialised again — and
+/// is, new member of a dimension it groups on or not: same result, a
+/// hit, nothing materialised again — and
 /// `warehouse.delta.rows` counts the weather entry's rows once, not once
 /// per live entry.
 #[test]
@@ -155,7 +152,7 @@ fn a_commit_to_another_fact_only_retags_the_entry() {
         .aggregate("temperature_c", AggFn::Avg);
     h.read(&sales);
     h.read(&temps);
-    let before = h.cache.run(&h.wh, h.revision, &sales).unwrap();
+    let before = h.cache.run(&h.wh, &sales).unwrap();
     let (hits, misses) = (h.cache.hits(), h.cache.misses());
     let groups = h.counter(names::WAREHOUSE_GROUPS);
 
@@ -173,7 +170,7 @@ fn a_commit_to_another_fact_only_retags_the_entry() {
     );
     h.read(&sales);
     h.read(&temps);
-    assert_eq!(h.cache.run(&h.wh, h.revision, &sales).unwrap(), before);
+    assert_eq!(h.cache.run(&h.wh, &sales).unwrap(), before);
     assert_eq!(h.cache.hits(), hits + 3);
     assert_eq!(h.cache.misses(), misses);
 }
