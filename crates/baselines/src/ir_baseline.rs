@@ -7,7 +7,9 @@
 //! comparison experiments can quantify the difference (structured-output
 //! precision of 0, reading burden in characters, but very low latency).
 
-use dwqa_ir::{DocumentStore, InvertedIndex, Passage, PassageRetriever, Similarity};
+use crate::index::InvertedIndex;
+use crate::search::{search, Similarity};
+use dwqa_ir::{DocumentStore, Passage, PassageRetriever};
 use dwqa_nlp::Lexicon;
 
 /// An IR result: a document or passage the user still has to read.
@@ -60,7 +62,7 @@ impl IrBaseline {
 
     /// Document-level retrieval: returns whole documents.
     pub fn search_documents(&self, query: &str, k: usize) -> Vec<IrResult> {
-        dwqa_ir::search::search(&self.index, &self.lexicon, query, Similarity::Bm25, k)
+        search(&self.index, &self.lexicon, query, Similarity::Bm25, k)
             .into_iter()
             .map(|h| IrResult {
                 url: self.urls[h.doc.index()].clone(),

@@ -8,10 +8,10 @@
 //! paper's QA integration removes. We implement it as a baseline for the
 //! comparison experiments.
 
-use crate::document::{DocId, DocumentStore};
 use crate::index::InvertedIndex;
 use crate::search::{search_terms, SearchHit, Similarity};
 use dwqa_common::{Date, Month};
+use dwqa_ir::{DocId, DocumentStore};
 use std::collections::HashMap;
 
 /// A slice of the document cube along the location × time dimensions.
@@ -140,7 +140,7 @@ impl MultidimensionalIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::document::{DocFormat, Document};
+    use dwqa_ir::{DocFormat, Document};
     use dwqa_nlp::Lexicon;
 
     fn store() -> DocumentStore {

@@ -1,7 +1,7 @@
 //! Ranked document retrieval.
 
-use crate::document::DocId;
 use crate::index::InvertedIndex;
+use dwqa_ir::DocId;
 use dwqa_nlp::Lexicon;
 use std::collections::HashMap;
 
@@ -36,7 +36,7 @@ pub fn search(
     similarity: Similarity,
     k: usize,
 ) -> Vec<SearchHit> {
-    let terms = crate::index::index_terms(lexicon, query);
+    let terms = dwqa_ir::index::index_terms(lexicon, query);
     search_terms(index, &terms, similarity, k)
 }
 
@@ -86,7 +86,7 @@ pub fn search_terms(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::document::{DocFormat, Document, DocumentStore};
+    use dwqa_ir::{DocFormat, Document, DocumentStore};
 
     fn index(texts: &[&str]) -> (InvertedIndex, Lexicon) {
         let lx = Lexicon::english();

@@ -1,10 +1,11 @@
 //! Criterion microbenchmarks for the individual substrates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dwqa_baselines::InvertedIndex;
 use dwqa_bench::{build_corpus, FixtureConfig};
 use dwqa_common::Month;
 use dwqa_corpus::{default_cities, generate_sales, SalesConfig};
-use dwqa_ir::{InvertedIndex, PassageRetriever};
+use dwqa_ir::PassageRetriever;
 use dwqa_mdmodel::last_minute_sales;
 use dwqa_nlp::{analyze_sentence, Lexicon};
 use dwqa_ontology::{

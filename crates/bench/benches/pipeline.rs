@@ -11,12 +11,12 @@
 //! shows the ≥2.5× batch speedup on any machine.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use dwqa_baselines::{IeBaseline, IeTemplate, IrBaseline};
 use dwqa_bench::{build_corpus, build_fixture, daily_questions, monthly_question, FixtureConfig};
 use dwqa_common::Month;
 use dwqa_core::{integrated_schema, IntegrationPipeline, PipelineOptions};
 use dwqa_engine::QaEngine;
 use dwqa_ir::DocumentStore;
-use dwqa_qa::{IeBaseline, IeTemplate, IrBaseline};
 use dwqa_warehouse::Warehouse;
 
 fn clone_store(store: &DocumentStore) -> DocumentStore {

@@ -23,12 +23,13 @@
 //! the run number). Run with:
 //! `cargo run --release -p dwqa-bench --bin exp_chaos [--trace-out FILE]`
 
+use dwqa_baselines::ExtractionEval;
 use dwqa_bench::{
     build_fixture, cached_rollup, daily_questions, expected_points, section, weather_by_city,
     FixtureConfig,
 };
 use dwqa_common::Month;
-use dwqa_core::{ExtractionEval, FeedFault, IntegrationPipeline};
+use dwqa_core::{FeedFault, IntegrationPipeline};
 use dwqa_corpus::{GroundTruth, PageStyle};
 use dwqa_engine::{AnswerOutcome, QaEngine, SubmitBatch};
 use dwqa_faults::{

@@ -9,9 +9,10 @@
 //! constraint + city expansion), and (c) end-to-end extraction quality on
 //! airport-named questions.
 
+use dwqa_baselines::{evaluate_temperatures, ExtractionEval};
 use dwqa_bench::{build_fixture, daily_questions, section, FixtureConfig};
 use dwqa_common::Month;
-use dwqa_core::{evaluate_temperatures, ExtractionEval, PipelineOptions};
+use dwqa_core::PipelineOptions;
 use dwqa_corpus::PageStyle;
 use dwqa_nlp::wsd::disambiguate;
 

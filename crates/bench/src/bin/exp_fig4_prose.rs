@@ -7,9 +7,9 @@
 //! the extracted (temperature, date, city) tuples are scored against the
 //! generator's ground truth, across several corpus seeds.
 
+use dwqa_baselines::{evaluate_temperatures, ExtractionEval};
 use dwqa_bench::{build_fixture, daily_questions, section, FixtureConfig};
 use dwqa_common::Month;
-use dwqa_core::{evaluate_temperatures, ExtractionEval};
 use dwqa_corpus::PageStyle;
 use dwqa_engine::QaEngine;
 

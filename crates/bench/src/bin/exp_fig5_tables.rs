@@ -4,12 +4,10 @@
 //! corresponding measure unit gets more difficult"), plus the paper's
 //! future-work fix: the table pre-processor of `dwqa-core::tableprep`.
 
+use dwqa_baselines::{evaluate_temperatures, ExtractionEval};
 use dwqa_bench::{build_corpus, daily_questions, section, FixtureConfig};
 use dwqa_common::Month;
-use dwqa_core::{
-    evaluate_temperatures, integrated_schema, preprocess_tables, ExtractionEval,
-    IntegrationPipeline, PipelineOptions,
-};
+use dwqa_core::{integrated_schema, preprocess_tables, IntegrationPipeline, PipelineOptions};
 use dwqa_corpus::PageStyle;
 use dwqa_warehouse::Warehouse;
 

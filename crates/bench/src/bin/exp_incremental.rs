@@ -14,7 +14,7 @@
 
 use dwqa_bench::section;
 use dwqa_core::RollupCache;
-use dwqa_warehouse::testing::{synthetic_batch, synthetic_warehouse, Mix};
+use dwqa_warehouse::testing::{execute_reference, synthetic_batch, synthetic_warehouse, Mix};
 use dwqa_warehouse::{AggFn, CubeQuery, Predicate, Value};
 use serde::Serialize;
 use std::time::Instant;
@@ -199,8 +199,7 @@ fn main() {
         read_set()
             .iter()
             .map(|q| {
-                q.execute_reference(&wh)
-                    .unwrap_or_else(|e| panic!("reference query failed: {e}"))
+                execute_reference(q, &wh).unwrap_or_else(|e| panic!("reference query failed: {e}"))
             })
             .collect::<Vec<_>>()
     };

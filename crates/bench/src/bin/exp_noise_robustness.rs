@@ -8,11 +8,10 @@
 //! the warehouse must stay at 1.0; only recall may fall with the noise
 //! rate.
 
+use dwqa_baselines::{evaluate_temperatures, ExtractionEval};
 use dwqa_bench::{daily_questions, expected_points, section};
 use dwqa_common::Month;
-use dwqa_core::{
-    evaluate_temperatures, integrated_schema, ExtractionEval, IntegrationPipeline, PipelineOptions,
-};
+use dwqa_core::{integrated_schema, IntegrationPipeline, PipelineOptions};
 use dwqa_corpus::{
     default_cities, generate_distractors, generate_weather_corpus, PageStyle, WeatherConfig,
 };

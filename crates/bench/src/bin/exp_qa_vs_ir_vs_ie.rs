@@ -12,11 +12,10 @@
 //!   argument is exactly this trade: a slower, deeper analysis that BI
 //!   can consume directly.
 
+use dwqa_baselines::{evaluate_temperatures, IeBaseline, IeTemplate, IrBaseline};
 use dwqa_bench::{build_fixture, monthly_question, section, FixtureConfig};
 use dwqa_common::{Date, Month};
-use dwqa_core::evaluate_temperatures;
 use dwqa_engine::QaEngine;
-use dwqa_qa::{IeBaseline, IeTemplate, IrBaseline};
 use std::time::Instant;
 
 fn main() {

@@ -15,7 +15,7 @@
 
 use dwqa_bench::section;
 use dwqa_engine::AnswerCache;
-use dwqa_warehouse::testing::synthetic_warehouse;
+use dwqa_warehouse::testing::{execute_reference, synthetic_warehouse};
 use dwqa_warehouse::{AggFn, CubeQuery, Predicate, Value, Warehouse};
 use serde::Serialize;
 use std::sync::Arc;
@@ -125,14 +125,14 @@ fn measure_rollup(
     iters: u32,
 ) -> RollupMeasurement {
     // Sanity: the kernel must return exactly the reference rows.
-    let reference = query.execute_reference(wh).expect("reference executes");
+    let reference = execute_reference(query, wh).expect("reference executes");
     let kernel = query.run(wh).expect("kernel executes");
     assert_eq!(
         reference, kernel,
         "kernel roll-up diverged from the reference on {name}"
     );
 
-    let reference_us = time_us(iters, || query.execute_reference(wh));
+    let reference_us = time_us(iters, || execute_reference(query, wh));
     let kernel_us = time_us(iters, || query.run(wh));
 
     RollupMeasurement {

@@ -7,9 +7,10 @@
 //! drowns the reading among competitors (and costs retrieval time —
 //! measured separately in the Criterion suite).
 
+use dwqa_baselines::{evaluate_temperatures, ExtractionEval};
 use dwqa_bench::{build_fixture, daily_questions, section, FixtureConfig};
 use dwqa_common::Month;
-use dwqa_core::{evaluate_temperatures, ExtractionEval, PipelineOptions};
+use dwqa_core::PipelineOptions;
 use dwqa_corpus::PageStyle;
 use dwqa_qa::AliQAnConfig;
 

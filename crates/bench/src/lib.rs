@@ -171,7 +171,7 @@ pub fn cached_rollup(pipeline: &IntegrationPipeline, query: &CubeQuery) -> Resul
     let (hits, misses) = (cache.hits(), cache.misses());
     let got = pipeline.rollup(query).expect("roll-up runs");
     assert_eq!((cache.hits(), cache.misses()), (hits + 1, misses), "hit");
-    let reference = query.execute_reference(&pipeline.warehouse);
+    let reference = dwqa_warehouse::testing::execute_reference(query, &pipeline.warehouse);
     assert_eq!(Ok(&got), reference.as_ref(), "cached = reference");
     got
 }

@@ -20,10 +20,10 @@
 //!
 //! [`pipeline::IntegrationPipeline`] orchestrates all five steps;
 //! [`analysis`] runs the motivating BI query ("which temperature ranges
-//! increase last-minute sales?"); [`evaluate`] scores answers against a
-//! ground truth; [`tableprep`] and [`dwquery`] implement the paper's two
-//! future-work items (table pre-processing for Figure-5 pages, and
-//! DW-query → NL-question generation).
+//! increase last-minute sales?"); [`tableprep`] and [`dwquery`]
+//! implement the paper's two future-work items (table pre-processing for
+//! Figure-5 pages, and DW-query → NL-question generation). Scoring
+//! answers against a ground truth is `dwqa_baselines::evaluate`.
 
 //! ```
 //! use dwqa_core::{TemperatureAxioms, integrated_schema};
@@ -45,7 +45,6 @@ pub mod axioms;
 pub mod durability;
 pub mod dwquery;
 pub mod error;
-pub mod evaluate;
 pub mod feedback;
 pub mod pipeline;
 pub mod prelude;
@@ -58,7 +57,6 @@ pub use axioms::TemperatureAxioms;
 pub use durability::{DurableCheckpoint, LoggedTransaction, RecoveryReport};
 pub use dwquery::{questions_for_missing_weather, questions_for_missing_weather_with};
 pub use error::Error;
-pub use evaluate::{evaluate_temperatures, ExtractionEval};
 pub use feedback::{feed_weather, FeedError, FeedReport};
 pub use pipeline::{
     FeedFault, IntegrationPipeline, PipelineOptions, PipelineOptionsBuilder, ReadPath,

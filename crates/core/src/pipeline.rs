@@ -588,11 +588,8 @@ impl IntegrationPipeline {
                 .checkpoint(&payload)
                 .map_err(|e| FeedError::Durability(format!("initial checkpoint: {e}")))?;
         }
-        self.warehouse = warehouse;
-        self.fed_points = fed_points;
-        self.poisoned = None;
         self.store = Some(store);
-        self.mark_dirty();
+        self.install_state(warehouse, fed_points);
         Ok(report)
     }
 
@@ -629,16 +626,28 @@ impl IntegrationPipeline {
     /// the checkpoint write fails (in which case the previous
     /// checkpoint + WAL remain authoritative — nothing is lost).
     pub fn checkpoint_now(&mut self) -> Result<(), FeedError> {
-        if self.store.is_none() {
+        let Some(store) = self.store.as_mut() else {
             return Err(FeedError::Durability("no store attached".to_owned()));
-        }
+        };
         let payload = encode_checkpoint_payload(&self.warehouse, &self.fed_points)?;
-        match self.store.as_mut() {
-            Some(store) => store
-                .checkpoint(&payload)
-                .map_err(|e| FeedError::Durability(e.to_string())),
-            None => Err(FeedError::Durability("no store attached".to_owned())),
-        }
+        store
+            .checkpoint(&payload)
+            .map_err(|e| FeedError::Durability(e.to_string()))
+    }
+
+    /// Replaces the in-memory state wholesale: the warehouse and its
+    /// `(city, date)` dedup set go in together, the restored state is
+    /// trusted (any poison is cleared) and no roll-up entry describing
+    /// the old warehouse survives.
+    fn install_state(
+        &mut self,
+        warehouse: Warehouse,
+        fed_points: HashSet<(String, dwqa_common::Date)>,
+    ) {
+        self.warehouse = warehouse;
+        self.fed_points = fed_points;
+        self.poisoned = None;
+        self.mark_dirty();
     }
 
     /// Replaces the warehouse state wholesale from a snapshot,
@@ -649,10 +658,8 @@ impl IntegrationPipeline {
     pub fn restore_warehouse(&mut self, snapshot: &WarehouseSnapshot) -> Result<(), FeedError> {
         let warehouse =
             Warehouse::restore(snapshot).map_err(|e| FeedError::Durability(e.to_string()))?;
-        self.fed_points = crate::durability::fed_points_from(&warehouse);
-        self.warehouse = warehouse;
-        self.poisoned = None;
-        self.mark_dirty();
+        let fed_points = crate::durability::fed_points_from(&warehouse);
+        self.install_state(warehouse, fed_points);
         Ok(())
     }
 
@@ -682,15 +689,12 @@ impl IntegrationPipeline {
         let checkpoint = decode_checkpoint_payload(payload)?;
         let warehouse = Warehouse::restore(&checkpoint.warehouse)
             .map_err(|e| FeedError::Durability(format!("replicated checkpoint restore: {e}")))?;
-        self.warehouse = warehouse;
-        self.fed_points = checkpoint.fed_points.into_iter().collect();
-        self.poisoned = None;
+        self.install_state(warehouse, checkpoint.fed_points.into_iter().collect());
         if let Some(store) = self.store.as_mut() {
             store
                 .checkpoint(payload)
                 .map_err(|e| FeedError::Durability(format!("replicated checkpoint: {e}")))?;
         }
-        self.mark_dirty();
         Ok(())
     }
 
@@ -703,16 +707,13 @@ impl IntegrationPipeline {
     /// Without a store the fence is purely logical: the caller's
     /// advertised generation becomes `floor + 1`.
     pub fn promote_generation(&mut self, floor: u64) -> Result<u64, FeedError> {
-        if self.store.is_none() {
+        let Some(store) = self.store.as_mut() else {
             return Ok(floor + 1);
-        }
+        };
         let payload = encode_checkpoint_payload(&self.warehouse, &self.fed_points)?;
-        match self.store.as_mut() {
-            Some(store) => store
-                .promote(&payload, floor)
-                .map_err(|e| FeedError::Durability(e.to_string())),
-            None => Ok(floor + 1),
-        }
+        store
+            .promote(&payload, floor)
+            .map_err(|e| FeedError::Durability(e.to_string()))
     }
 }
 
@@ -737,15 +738,15 @@ mod tests {
     }
 
     /// Reads [`weather_rollup`] through the cache, asserting it is served
-    /// as a hit and equals the reference executor on the warehouse as it
-    /// now is — *present ⇒ current*, observed on the result itself.
+    /// as a hit and equals a cold run on the warehouse as it now is —
+    /// *present ⇒ current*, observed on the result itself.
     fn weather_rollup_hit(p: &IntegrationPipeline) -> ResultSet {
         let (hits, misses) = (p.rollup_cache().hits(), p.rollup_cache().misses());
         let got = p.rollup(&weather_rollup()).unwrap();
         assert_eq!(p.rollup_cache().hits(), hits + 1, "served from cache");
         assert_eq!(p.rollup_cache().misses(), misses, "nothing recomputed");
-        let reference = weather_rollup().execute_reference(&p.warehouse).unwrap();
-        assert_eq!(got, reference, "cached roll-up is current");
+        let cold = weather_rollup().run(&p.warehouse).unwrap();
+        assert_eq!(got, cold, "cached roll-up is current");
         got
     }
 
@@ -1217,6 +1218,38 @@ mod tests {
         // Without a store the fence is logical: floor + 1.
         let (mut bare, _) = built_pipeline(false);
         assert_eq!(bare.promote_generation(7).unwrap(), 8);
+    }
+
+    /// A full-sync frame replaces the standby's warehouse before its
+    /// own store records it. When that store refuses the write, the
+    /// state stays replaced — and the roll-up cache must not go on
+    /// describing the warehouse that is gone.
+    #[test]
+    fn a_replicated_checkpoint_empties_the_rollup_cache_even_if_the_local_write_fails() {
+        let (mut primary, _) = built_pipeline(false);
+        let answers = primary.read_path().answer(EL_PRAT);
+        assert!(primary.apply_feedback(&answers).loaded > 0);
+        let payload = encode_checkpoint_payload(&primary.warehouse, &primary.fed_points).unwrap();
+
+        let (mut standby, _) = built_pipeline(false);
+        standby.attach_store_at(scratch("repl-wedged")).unwrap();
+        standby
+            .store_mut()
+            .unwrap()
+            .set_torn(Some(dwqa_store::TornPlan::new(11).with_short_write(1.0)));
+        assert!(standby.try_apply_feedback(&answers).is_err());
+        assert!(standby.store().unwrap().wedged());
+        let before = standby.rollup(&weather_rollup()).unwrap();
+
+        let err = standby.apply_replicated_checkpoint(&payload).unwrap_err();
+        assert!(matches!(err, FeedError::Durability(_)), "{err}");
+        assert_eq!(standby.warehouse.to_json(), primary.warehouse.to_json());
+        let after = standby.rollup(&weather_rollup()).unwrap();
+        assert_ne!(
+            after, before,
+            "the entry for the replaced warehouse is gone"
+        );
+        assert_eq!(after, weather_rollup().run(&standby.warehouse).unwrap());
     }
 
     #[test]

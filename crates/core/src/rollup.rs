@@ -7,14 +7,15 @@
 //! ([`RollupCache::clear`]). So entries carry no version tag and a read
 //! never has to ask whether what it found is stale.
 //!
-//! Entries keep the [`MaterializedRollup`] that produced them: the
-//! per-group accumulator state with its maintained result. That state
+//! Entries keep the [`Rollup`] that produced them — for a query the
+//! kernel carries, the per-group accumulator state with its maintained
+//! result. That state
 //! is what makes commits cheap. A committed feed transaction does not
 //! purge the cache; it folds its typed [`WarehouseDelta`] into every
 //! live entry — appended fact rows go through the kernel's row loop
 //! over just the delta, new dimension members extend the pass masks and
-//! key→ordinal maps. Entries that cannot absorb a delta (a
-//! reference-executor result, mismatched extents, lane or group-table
+//! key→ordinal maps. Entries that cannot absorb a delta (a result the
+//! kernel declined to carry, mismatched extents, lane or group-table
 //! overflow) are **demoted**: dropped and recomputed on next read, so
 //! incremental maintenance is always an optimization, never a
 //! correctness risk. A rolled-back transaction restores the warehouse
@@ -22,7 +23,7 @@
 
 use dwqa_obs::names as obs;
 use dwqa_warehouse::{
-    CubeQuery, MaterializedRollup, Result, ResultSet, Warehouse, WarehouseDelta,
+    CubeQuery, Result, ResultSet, Rollup, Warehouse, WarehouseDelta,
     DEFAULT_MATERIALIZED_GROUP_LIMIT,
 };
 use std::collections::HashMap;
@@ -33,25 +34,8 @@ use std::sync::{Mutex, MutexGuard};
 /// handful of query shapes per dashboard refresh).
 pub const DEFAULT_ROLLUP_CAPACITY: usize = 64;
 
-/// What an entry serves reads from.
-enum Cached {
-    /// Kernel state that later commits maintain in place.
-    Live(Box<MaterializedRollup>),
-    /// A reference-executor result; always demotes on commit.
-    Fixed(ResultSet),
-}
-
-impl Cached {
-    fn result(&self) -> &ResultSet {
-        match self {
-            Cached::Live(state) => state.result_set(),
-            Cached::Fixed(result) => result,
-        }
-    }
-}
-
 struct CachedResult {
-    cached: Cached,
+    cached: Rollup,
     last_used: u64,
 }
 
@@ -141,7 +125,7 @@ impl RollupCache {
                 entry.last_used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 dwqa_obs::counter_add(obs::WAREHOUSE_ROLLUP_HITS, 1);
-                return Ok(entry.cached.result().clone());
+                return Ok(entry.cached.result_set().clone());
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -149,13 +133,8 @@ impl RollupCache {
         if self.capacity == 0 {
             return query.run(warehouse);
         }
-        // `build` validates exactly like the reference executor, so
-        // error behaviour is identical on either branch.
-        let cached = match MaterializedRollup::build(query, warehouse, self.group_limit)? {
-            Some(state) => Cached::Live(Box::new(state)),
-            None => Cached::Fixed(query.execute_reference(warehouse)?),
-        };
-        let result = cached.result().clone();
+        let cached = Rollup::build(query, warehouse, self.group_limit)?;
+        let result = cached.result_set().clone();
         {
             let mut inner = self.inner();
             inner.tick += 1;
@@ -192,15 +171,7 @@ impl RollupCache {
     pub fn apply_delta(&self, warehouse: &Warehouse, delta: &WarehouseDelta) {
         let mut inner = self.inner();
         inner.map.retain(|_, entry| {
-            let folded = match &mut entry.cached {
-                Cached::Live(state) => {
-                    let before = state.rows_folded();
-                    state
-                        .apply_delta(warehouse, delta)
-                        .then(|| state.rows_folded() - before)
-                }
-                Cached::Fixed(_) => None,
-            };
+            let folded = entry.cached.apply_delta(warehouse, delta);
             match folded {
                 Some(rows) => {
                     dwqa_obs::counter_add(obs::WAREHOUSE_DELTA_APPLIED, 1);
@@ -364,7 +335,7 @@ mod tests {
         assert_eq!(cache.misses(), 1, "maintained entry needs no recompute");
         assert_eq!(cache.hits(), 1);
         assert_ne!(before, after);
-        assert_eq!(after, q.execute_reference(&wh).unwrap());
+        assert_eq!(after, q.run(&wh).unwrap(), "equals a cold run");
     }
 
     #[test]
@@ -386,7 +357,7 @@ mod tests {
 
         // The next read recomputes correctly.
         let fresh = cache.run(&wh, &q).unwrap();
-        assert_eq!(fresh, q.execute_reference(&wh).unwrap());
+        assert_eq!(fresh, q.run(&wh).unwrap(), "equals a cold run");
         assert_eq!(cache.misses(), 2);
     }
 }

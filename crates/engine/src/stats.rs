@@ -193,24 +193,9 @@ impl EngineStats {
         self.worker_deaths.inc();
     }
 
-    /// Questions that completed cleanly.
-    pub fn outcomes_ok(&self) -> u64 {
-        self.outcome_ok.value()
-    }
-
-    /// Questions answered under degraded evidence.
-    pub fn outcomes_degraded(&self) -> u64 {
-        self.outcome_degraded.value()
-    }
-
     /// Questions that hit their deadline.
     pub fn outcomes_timed_out(&self) -> u64 {
         self.outcome_timed_out.value()
-    }
-
-    /// Questions whose source documents were all unavailable.
-    pub fn outcomes_unavailable(&self) -> u64 {
-        self.outcome_unavailable.value()
     }
 
     /// Questions whose worker panicked (isolated).
@@ -228,16 +213,6 @@ impl EngineStats {
         self.source_trips.value()
     }
 
-    /// Fetches rejected outright by an open breaker.
-    pub fn breaker_rejections(&self) -> u64 {
-        self.source_rejections.value()
-    }
-
-    /// Fetches that ultimately failed (after retries).
-    pub fn source_failures(&self) -> u64 {
-        self.source_failures.value()
-    }
-
     /// Feed transactions rolled back all-or-nothing.
     pub fn rollbacks(&self) -> u64 {
         self.rollbacks.value()
@@ -246,60 +221,6 @@ impl EngineStats {
     /// Worker-pool threads lost to an unisolated panic (should stay 0).
     pub fn worker_deaths(&self) -> u64 {
         self.worker_deaths.value()
-    }
-
-    /// Passage retrievals recorded (one per cache-miss question, two if
-    /// the focus fallback fired). Written by `dwqa-ir` through the
-    /// observation context.
-    pub fn retrievals(&self) -> u64 {
-        self.registry.counter_value(names::RETRIEVAL_COUNT)
-    }
-
-    /// Candidate documents (holding ≥ 1 query term), summed over all
-    /// retrievals.
-    pub fn retrieval_docs_candidate(&self) -> u64 {
-        self.registry.counter_value(names::RETRIEVAL_DOCS_CANDIDATE)
-    }
-
-    /// Candidates whose windows were scored, summed over all retrievals.
-    pub fn retrieval_docs_scored(&self) -> u64 {
-        self.registry.counter_value(names::RETRIEVAL_DOCS_SCORED)
-    }
-
-    /// Candidates cut by the score bound, summed over all retrievals.
-    pub fn retrieval_docs_bound_skipped(&self) -> u64 {
-        self.registry
-            .counter_value(names::RETRIEVAL_DOCS_BOUND_SKIPPED)
-    }
-
-    /// Documents skipped by index pruning, summed over all retrievals.
-    pub fn retrieval_docs_pruned(&self) -> u64 {
-        self.registry.counter_value(names::RETRIEVAL_DOCS_PRUNED)
-    }
-
-    /// Candidate windows scored, summed over all retrievals.
-    pub fn retrieval_windows_scored(&self) -> u64 {
-        self.registry.counter_value(names::RETRIEVAL_WINDOWS_SCORED)
-    }
-
-    /// Mean candidate-set size per retrieval.
-    pub fn mean_candidate_docs(&self) -> f64 {
-        let n = self.retrievals();
-        if n == 0 {
-            0.0
-        } else {
-            self.retrieval_docs_candidate() as f64 / n as f64
-        }
-    }
-
-    /// Share of corpus documents pruned (never touched) per retrieval.
-    pub fn pruned_fraction(&self) -> f64 {
-        let total = self.registry.counter_value(names::RETRIEVAL_DOCS_TOTAL);
-        if total == 0 {
-            0.0
-        } else {
-            self.retrieval_docs_pruned() as f64 / total as f64
-        }
     }
 
     /// Questions answered (cached or computed).
@@ -322,60 +243,9 @@ impl EngineStats {
         self.cache_misses.value()
     }
 
-    /// Cache hit rate over all answered questions.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits() + self.cache_misses();
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits() as f64 / total as f64
-        }
-    }
-
-    /// Roll-up states compiled (one per cold query or cache miss).
-    pub fn warehouse_plans_compiled(&self) -> u64 {
-        self.registry.counter_value(names::WAREHOUSE_PLANS_COMPILED)
-    }
-
-    /// Commit deltas absorbed by a kept roll-up state without recompiling.
-    pub fn warehouse_plans_reused(&self) -> u64 {
-        self.registry.counter_value(names::WAREHOUSE_PLANS_REUSED)
-    }
-
-    /// Fact rows walked by the roll-up kernel (summed).
-    pub fn warehouse_rows_scanned(&self) -> u64 {
-        self.registry.counter_value(names::WAREHOUSE_ROWS_SCANNED)
-    }
-
-    /// Roll-up result-cache hits recorded by the pipeline.
-    pub fn warehouse_rollup_hits(&self) -> u64 {
-        self.registry.counter_value(names::WAREHOUSE_ROLLUP_HITS)
-    }
-
-    /// Roll-up result-cache misses (queries actually executed).
-    pub fn warehouse_rollup_misses(&self) -> u64 {
-        self.registry.counter_value(names::WAREHOUSE_ROLLUP_MISSES)
-    }
-
-    /// Materialized roll-up entries that absorbed a commit's delta in
-    /// place (incremental maintenance).
-    pub fn warehouse_deltas_applied(&self) -> u64 {
-        self.registry.counter_value(names::WAREHOUSE_DELTA_APPLIED)
-    }
-
-    /// Materialized entries demoted to recompute-on-next-read because a
-    /// delta could not be absorbed.
-    pub fn warehouse_deltas_demoted(&self) -> u64 {
-        self.registry.counter_value(names::WAREHOUSE_DELTA_DEMOTED)
-    }
-
-    /// Fact rows folded incrementally into live materialized roll-ups
-    /// (summed over entries).
-    pub fn warehouse_delta_rows(&self) -> u64 {
-        self.registry.counter_value(names::WAREHOUSE_DELTA_ROWS)
-    }
-
-    /// Renders the statistics as a fixed-width table.
+    /// Renders the statistics as a fixed-width table. Figures no caller
+    /// reads one by one — retrieval pruning, the warehouse kernel — come
+    /// straight from the registry, by name.
     pub fn render(&self) -> String {
         fn us(v: u64) -> String {
             if v >= 10_000 {
@@ -384,6 +254,14 @@ impl EngineStats {
                 format!("{v} µs")
             }
         }
+        fn ratio(part: u64, whole: u64) -> f64 {
+            if whole == 0 {
+                0.0
+            } else {
+                part as f64 / whole as f64
+            }
+        }
+        let count = |name: &str| self.registry.counter_value(name);
         let mut out = String::new();
         out.push_str(&format!(
             "questions: {}   batches: {}   cache: {} hits / {} misses ({:.0}% hit rate)\n",
@@ -391,7 +269,7 @@ impl EngineStats {
             self.batches(),
             self.cache_hits(),
             self.cache_misses(),
-            self.cache_hit_rate() * 100.0,
+            ratio(self.cache_hits(), self.cache_hits() + self.cache_misses()) * 100.0,
         ));
         out.push_str("stage     |  calls |    mean |    ≤p50 |    ≤p95 |     max\n");
         out.push_str("----------+--------+---------+---------+---------+--------\n");
@@ -412,40 +290,40 @@ impl EngineStats {
         }
         out.push_str(&format!(
             "outcomes: {} ok / {} degraded / {} timed-out / {} source-unavailable / {} panicked\n",
-            self.outcomes_ok(),
-            self.outcomes_degraded(),
-            self.outcomes_timed_out(),
-            self.outcomes_unavailable(),
-            self.outcomes_panicked(),
+            self.outcome_ok.value(),
+            self.outcome_degraded.value(),
+            self.outcome_timed_out.value(),
+            self.outcome_unavailable.value(),
+            self.outcome_panicked.value(),
         ));
         out.push_str(&format!(
             "retrieval: {} retrievals   {:.1} candidate docs/query ({:.0}% of corpus pruned)   {} docs scored / {} cut by the score bound   {} windows scored\n",
-            self.retrievals(),
-            self.mean_candidate_docs(),
-            self.pruned_fraction() * 100.0,
-            self.retrieval_docs_scored(),
-            self.retrieval_docs_bound_skipped(),
-            self.retrieval_windows_scored(),
+            count(names::RETRIEVAL_COUNT),
+            ratio(count(names::RETRIEVAL_DOCS_CANDIDATE), count(names::RETRIEVAL_COUNT)),
+            ratio(count(names::RETRIEVAL_DOCS_PRUNED), count(names::RETRIEVAL_DOCS_TOTAL)) * 100.0,
+            count(names::RETRIEVAL_DOCS_SCORED),
+            count(names::RETRIEVAL_DOCS_BOUND_SKIPPED),
+            count(names::RETRIEVAL_WINDOWS_SCORED),
         ));
         out.push_str(&format!(
             "warehouse: {} plans compiled / {} reused   {} rows scanned   rollup cache: {} hits / {} misses   deltas: {} applied / {} demoted ({} rows folded)\n",
-            self.warehouse_plans_compiled(),
-            self.warehouse_plans_reused(),
-            self.warehouse_rows_scanned(),
-            self.warehouse_rollup_hits(),
-            self.warehouse_rollup_misses(),
-            self.warehouse_deltas_applied(),
-            self.warehouse_deltas_demoted(),
-            self.warehouse_delta_rows(),
+            count(names::WAREHOUSE_PLANS_COMPILED),
+            count(names::WAREHOUSE_PLANS_REUSED),
+            count(names::WAREHOUSE_ROWS_SCANNED),
+            count(names::WAREHOUSE_ROLLUP_HITS),
+            count(names::WAREHOUSE_ROLLUP_MISSES),
+            count(names::WAREHOUSE_DELTA_APPLIED),
+            count(names::WAREHOUSE_DELTA_DEMOTED),
+            count(names::WAREHOUSE_DELTA_ROWS),
         ));
         out.push_str(&format!(
             "resilience: {} retries   {} breaker trips   {} breaker rejections   {} source failures   {} rollbacks   {} worker deaths\n",
-            self.source_retries(),
-            self.breaker_trips(),
-            self.breaker_rejections(),
-            self.source_failures(),
-            self.rollbacks(),
-            self.worker_deaths(),
+            self.source_retries.value(),
+            self.source_trips.value(),
+            self.source_rejections.value(),
+            self.source_failures.value(),
+            self.rollbacks.value(),
+            self.worker_deaths.value(),
         ));
         out
     }
@@ -498,9 +376,109 @@ mod tests {
         ] {
             assert!(table.contains(name), "missing {name} in:\n{table}");
         }
+        // `render` reads most of its figures from the registry by name;
+        // the table it prints for a registry with a distinct value
+        // behind every figure, and for an empty one (every ratio's zero
+        // denominator), is the one the getter-per-metric version printed.
+        assert_eq!(
+            fixed_registry().render(),
+            "questions: 41   batches: 5   cache: 12 hits / 29 misses (29% hit rate)\n\
+             stage     |  calls |    mean |    ≤p50 |    ≤p95 |     max\n\
+             ----------+--------+---------+---------+---------+--------\n\
+             analyze   |      4 | 5135 µs |   64 µs | 32.8 ms | 32.8 ms\n\
+             passages  |      4 | 10.3 ms |  128 µs | 65.5 ms | 65.5 ms\n\
+             extract   |      4 | 20.5 ms |  256 µs | 131.1 ms | 131.1 ms\n\
+             feed      |      4 | 41.1 ms |  512 µs | 262.1 ms | 262.1 ms\n\
+             outcomes: 1 ok / 12 degraded / 23 timed-out / 34 source-unavailable / 45 panicked\n\
+             retrieval: 31 retrievals   700.0 candidate docs/query (20% of corpus pruned)   \
+             403 docs scored / 21297 cut by the score bound   13330 windows scored\n\
+             warehouse: 80 plans compiled / 87 reused   61094 rows scanned   \
+             rollup cache: 101 hits / 8 misses   \
+             deltas: 115 applied / 2 demoted (1290 rows folded)\n\
+             resilience: 13 retries   17 breaker trips   19 breaker rejections   \
+             23 source failures   6 rollbacks   1 worker deaths\n"
+        );
+        assert_eq!(
+            EngineStats::default().render(),
+            "questions: 0   batches: 0   cache: 0 hits / 0 misses (0% hit rate)\n\
+             stage     |  calls |    mean |    ≤p50 |    ≤p95 |     max\n\
+             ----------+--------+---------+---------+---------+--------\n\
+             analyze   |      0 |    0 µs |    0 µs |    0 µs |    0 µs\n\
+             passages  |      0 |    0 µs |    0 µs |    0 µs |    0 µs\n\
+             extract   |      0 |    0 µs |    0 µs |    0 µs |    0 µs\n\
+             feed      |      0 |    0 µs |    0 µs |    0 µs |    0 µs\n\
+             outcomes: 0 ok / 0 degraded / 0 timed-out / 0 source-unavailable / 0 panicked\n\
+             retrieval: 0 retrievals   0.0 candidate docs/query (0% of corpus pruned)   \
+             0 docs scored / 0 cut by the score bound   0 windows scored\n\
+             warehouse: 0 plans compiled / 0 reused   0 rows scanned   \
+             rollup cache: 0 hits / 0 misses   \
+             deltas: 0 applied / 0 demoted (0 rows folded)\n\
+             resilience: 0 retries   0 breaker trips   0 breaker rejections   \
+             0 source failures   0 rollbacks   0 worker deaths\n"
+        );
     }
 
-    /// The retrieval getters read the registry counters that `dwqa-ir`
+    /// A registry with a distinct value behind every figure `render`
+    /// prints.
+    fn fixed_registry() -> EngineStats {
+        let stats = EngineStats::default();
+        let reg = Arc::clone(stats.registry());
+        for (i, stage) in [&stats.analyze, &stats.passages, &stats.extract, &stats.feed]
+            .into_iter()
+            .enumerate()
+        {
+            for us in [3u64, 40, 500, 20_000] {
+                stage.record(Duration::from_micros(us << i));
+            }
+        }
+        for (name, value) in [
+            (names::QUESTIONS, 41),
+            (names::BATCHES, 5),
+            (names::CACHE_HITS, 12),
+            (names::CACHE_MISSES, 29),
+            (names::RETRIEVAL_COUNT, 31),
+            (names::RETRIEVAL_DOCS_TOTAL, 27_032),
+            (names::RETRIEVAL_DOCS_CANDIDATE, 21_700),
+            (names::RETRIEVAL_DOCS_SCORED, 403),
+            (names::RETRIEVAL_DOCS_BOUND_SKIPPED, 21_297),
+            (names::RETRIEVAL_DOCS_PRUNED, 5_332),
+            (names::RETRIEVAL_WINDOWS_SCORED, 13_330),
+            (names::WAREHOUSE_PLANS_COMPILED, 80),
+            (names::WAREHOUSE_PLANS_REUSED, 87),
+            (names::WAREHOUSE_ROWS_SCANNED, 61_094),
+            (names::WAREHOUSE_ROLLUP_HITS, 101),
+            (names::WAREHOUSE_ROLLUP_MISSES, 8),
+            (names::WAREHOUSE_DELTA_APPLIED, 115),
+            (names::WAREHOUSE_DELTA_DEMOTED, 2),
+            (names::WAREHOUSE_DELTA_ROWS, 1_290),
+            (names::ROLLBACKS, 6),
+            (names::WORKER_DEATHS, 1),
+        ] {
+            reg.counter(name).add(value);
+        }
+        for (n, outcome) in [
+            AnswerOutcome::Ok,
+            AnswerOutcome::Degraded,
+            AnswerOutcome::TimedOut,
+            AnswerOutcome::SourceUnavailable,
+            AnswerOutcome::Panicked,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            reg.counter(&outcome_name(outcome)).add(11 * n as u64 + 1);
+        }
+        stats.sync_source_health(&SourceHealth {
+            retries: 13,
+            breaker_trips: 17,
+            breaker_rejections: 19,
+            failures: 23,
+            ..SourceHealth::default()
+        });
+        stats
+    }
+
+    /// The retrieval line reads the registry counters that `dwqa-ir`
     /// writes through the observation context; here we write them
     /// directly, as an installed context would.
     #[test]
@@ -516,23 +494,17 @@ mod tests {
             reg.counter(names::RETRIEVAL_DOCS_BOUND_SKIPPED).add(3);
             reg.counter(names::RETRIEVAL_WINDOWS_SCORED).add(windows);
         }
-        assert_eq!(stats.retrievals(), 2);
-        assert_eq!(stats.retrieval_docs_candidate(), 10);
-        assert_eq!(stats.retrieval_docs_pruned(), 190);
-        assert_eq!(stats.retrieval_docs_scored(), 4);
-        assert_eq!(stats.retrieval_docs_bound_skipped(), 6);
-        assert_eq!(stats.retrieval_windows_scored(), 32);
-        assert!((stats.mean_candidate_docs() - 5.0).abs() < 1e-12);
-        assert!((stats.pruned_fraction() - 0.95).abs() < 1e-12);
         let table = stats.render();
-        assert!(table.contains("95% of corpus pruned"), "{table}");
         assert!(
-            table.contains("4 docs scored / 6 cut by the score bound"),
+            table.contains(
+                "retrieval: 2 retrievals   5.0 candidate docs/query (95% of corpus pruned)   \
+                 4 docs scored / 6 cut by the score bound   32 windows scored\n"
+            ),
             "{table}"
         );
     }
 
-    /// The warehouse getters read the counters that `dwqa-warehouse` and
+    /// The warehouse line reads the counters that `dwqa-warehouse` and
     /// the pipeline's rollup cache write through the observation context.
     #[test]
     fn warehouse_counters_read_the_shared_registry() {
@@ -546,19 +518,13 @@ mod tests {
         reg.counter(names::WAREHOUSE_DELTA_APPLIED).add(6);
         reg.counter(names::WAREHOUSE_DELTA_DEMOTED).inc();
         reg.counter(names::WAREHOUSE_DELTA_ROWS).add(42);
-        assert_eq!(stats.warehouse_plans_compiled(), 2);
-        assert_eq!(stats.warehouse_plans_reused(), 5);
-        assert_eq!(stats.warehouse_rows_scanned(), 1000);
-        assert_eq!(stats.warehouse_rollup_hits(), 3);
-        assert_eq!(stats.warehouse_rollup_misses(), 4);
-        assert_eq!(stats.warehouse_deltas_applied(), 6);
-        assert_eq!(stats.warehouse_deltas_demoted(), 1);
-        assert_eq!(stats.warehouse_delta_rows(), 42);
         let table = stats.render();
-        assert!(table.contains("2 plans compiled / 5 reused"), "{table}");
-        assert!(table.contains("3 hits / 4 misses"), "{table}");
         assert!(
-            table.contains("6 applied / 1 demoted (42 rows folded)"),
+            table.contains(
+                "warehouse: 2 plans compiled / 5 reused   1000 rows scanned   \
+                 rollup cache: 3 hits / 4 misses   \
+                 deltas: 6 applied / 1 demoted (42 rows folded)\n"
+            ),
             "{table}"
         );
     }
@@ -572,11 +538,15 @@ mod tests {
         stats.record_outcome(AnswerOutcome::TimedOut);
         stats.record_outcome(AnswerOutcome::SourceUnavailable);
         stats.record_outcome(AnswerOutcome::Panicked);
-        assert_eq!(stats.outcomes_ok(), 2);
-        assert_eq!(stats.outcomes_degraded(), 1);
         assert_eq!(stats.outcomes_timed_out(), 1);
-        assert_eq!(stats.outcomes_unavailable(), 1);
         assert_eq!(stats.outcomes_panicked(), 1);
+        assert!(
+            stats.render().contains(
+                "outcomes: 2 ok / 1 degraded / 1 timed-out / 1 source-unavailable / 1 panicked\n"
+            ),
+            "{}",
+            stats.render()
+        );
         stats.record_rollback();
         assert_eq!(stats.rollbacks(), 1);
         assert_eq!(stats.worker_deaths(), 0);
@@ -592,8 +562,13 @@ mod tests {
         stats.sync_source_health(&health);
         assert_eq!(stats.source_retries(), 7);
         assert_eq!(stats.breaker_trips(), 2);
-        assert_eq!(stats.breaker_rejections(), 3);
-        assert_eq!(stats.source_failures(), 4);
+        assert!(
+            stats
+                .render()
+                .contains("3 breaker rejections   4 source failures"),
+            "{}",
+            stats.render()
+        );
     }
 
     /// Regression: the old per-stage merge was bounded by the

@@ -10,10 +10,8 @@
 //!   text extraction ("our approach handles any kind of unstructured data
 //!   (e.g. XML, HTML or PDF)") and an append-only [`document::DocumentStore`];
 //! * [`index`] — the one definition of an index term (case-folded,
-//!   stopped, lemmatised: [`index::tagged_terms`]) and the document-level
-//!   inverted index over it, which [`search`] and [`mdir`] rank whole
-//!   documents with;
-//! * [`search`] — ranked document retrieval (Okapi BM25 and TF-IDF cosine);
+//!   stopped, lemmatised: [`index::tagged_terms`]) and of its weight
+//!   ([`index::bm25_idf`]);
 //! * [`passage`] — the IR-n passage retrieval used by AliQAn's Module 2,
 //!   driven by interned sentence-level postings built from already-tagged
 //!   sentences (its own pass over a document store, or the analyses the
@@ -22,11 +20,12 @@
 //!   give, candidate documents and a score bound for each come from the
 //!   postings, and only documents that can still reach the top `k` are
 //!   scored ([`passage::RetrievalStats`] reports the pruning);
-//! * [`mdir`] — the multidimensional-IR **baseline** of McCabe et al.
-//!   (SIGIR 2000, the paper's reference \[11\]): documents categorised along
-//!   location × time dimensions, filtered OLAP-style before term search;
 //! * [`testing`] — the exhaustive reference scan passage retrieval is
 //!   tested and benchmarked against.
+//!
+//! The document-level inverted index, ranked document search and the
+//! multidimensional-IR baseline — the systems the paper compares itself
+//! with — live in `dwqa-baselines`, which no serving crate depends on.
 
 //! ```
 //! use dwqa_ir::{Document, DocumentStore, DocFormat, PassageRetriever};
@@ -45,13 +44,8 @@
 
 pub mod document;
 pub mod index;
-pub mod mdir;
 pub mod passage;
-pub mod search;
 pub mod testing;
 
 pub use document::{DocFormat, DocId, Document, DocumentStore};
-pub use index::InvertedIndex;
-pub use mdir::{CubeSlice, MultidimensionalIndex};
 pub use passage::{Passage, PassageQuery, PassageRetriever, RetrievalStats};
-pub use search::{SearchHit, Similarity};

@@ -299,17 +299,17 @@ impl PassageRetriever {
         &self.sentences[doc.index()]
     }
 
-    /// Resolves a term against the vocabulary after case folding, like
-    /// [`crate::InvertedIndex::postings`]; already-folded terms (index
-    /// lemmas, the QA side's query terms) are looked up without
-    /// allocating.
+    /// Resolves a term against the vocabulary after case folding;
+    /// already-folded terms (index lemmas, the QA side's query terms)
+    /// are looked up without allocating.
     fn symbol(&self, term: &str) -> Option<Symbol> {
         self.vocabulary.get(&fold_cow(term))
     }
 
     /// Smoothed inverse document frequency (BM25 formulation) of a term
-    /// over the indexed documents — bit for bit what
-    /// [`crate::InvertedIndex::idf`] returns over the same store.
+    /// over the indexed documents — bit for bit what the baselines'
+    /// document-level `InvertedIndex::idf` returns over the same store
+    /// (`tests/retrieval_bound.rs`).
     pub fn idf(&self, term: &str) -> f64 {
         match self.symbol(term) {
             Some(sym) => self.idf[sym.index()],
@@ -805,7 +805,7 @@ mod tests {
     }
 
     /// Query terms are case-folded before the vocabulary look-up, as
-    /// `InvertedIndex::postings` folds them: "Málaga" finds the lemma
+    /// the baselines' `InvertedIndex::postings` folds them: "Málaga" finds the lemma
     /// `malaga`, and the two spellings are one query term — in the
     /// reference too.
     #[test]

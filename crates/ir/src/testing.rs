@@ -20,7 +20,8 @@ pub fn retrieve_weighted_exhaustive(
     // The original O(q²) first-occurrence dedup, over case-folded terms
     // (out-of-vocabulary terms keep a slot and simply never match, exactly
     // like the old string sets). The IDF is the retriever's own table;
-    // `tests/retrieval_bound.rs` holds that table to `InvertedIndex::idf`.
+    // `tests/retrieval_bound.rs` holds that table to the baselines'
+    // `InvertedIndex::idf`.
     let query: Vec<(Cow<'_, str>, f64)> = {
         let mut distinct: Vec<(Cow<'_, str>, f64)> = Vec::new();
         for (t, w) in terms.iter().filter(|(_, w)| usable_weight(*w)) {

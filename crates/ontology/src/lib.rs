@@ -51,7 +51,6 @@ pub mod graph;
 pub mod merge;
 pub mod owl;
 pub mod senses;
-pub mod similarity;
 pub mod transform;
 pub mod upper;
 
@@ -59,6 +58,5 @@ pub use enrich::{enrich_from_warehouse, EnrichmentReport};
 pub use graph::{ConceptId, ConceptKind, OntoPos, Ontology, OntologyStats, Relation};
 pub use merge::{merge_into_upper, MatchKind, MergeOptions, MergeReport};
 pub use owl::{parse_owl, render_owl};
-pub use similarity::{least_common_subsumer, path_length, wup_similarity};
 pub use transform::schema_to_ontology;
 pub use upper::upper_ontology;

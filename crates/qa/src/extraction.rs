@@ -746,7 +746,7 @@ mod tests {
     use super::*;
     use crate::analysis::analyze_question;
     use crate::patterns::{default_patterns, temperature_pattern};
-    use dwqa_ir::{DocFormat, Document, DocumentStore, Similarity};
+    use dwqa_ir::{DocFormat, Document, DocumentStore};
     use dwqa_nlp::Lexicon;
     use dwqa_ontology::upper_ontology;
 
@@ -808,7 +808,6 @@ mod tests {
         bank.push(temperature_pattern());
         let analysis = analyze_question(&s.lexicon, &s.ontology, &bank, question);
         let passages = s.index.passages.retrieve(&analysis.retrieval_terms(), 5);
-        let _ = Similarity::Bm25;
         extract_answers(&analysis, &s.index, &s.store, &s.ontology, &passages, k)
     }
 

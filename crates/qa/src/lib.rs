@@ -16,11 +16,10 @@
 //!
 //! This crate implements the three modules over the substrates
 //! (`dwqa-nlp`, `dwqa-ir`, `dwqa-ontology`), the Step-4 *tuning* hook that
-//! registers new question patterns and answer axioms, a full pipeline
-//! trace that regenerates the paper's Table 1, and the two comparison
-//! baselines the paper argues against: plain IR (returns passages the
-//! user must read) and template-based Information Extraction (scans the
-//! whole corpus with fixed templates).
+//! registers new question patterns and answer axioms, and a full pipeline
+//! trace that regenerates the paper's Table 1. The two comparison
+//! baselines the paper argues against — plain IR and template-based
+//! Information Extraction — live in `dwqa-baselines`.
 
 //! ```
 //! use dwqa_qa::{AliQAn, AliQAnConfig, temperature_pattern};
@@ -43,17 +42,13 @@
 pub mod aliqan;
 pub mod analysis;
 pub mod extraction;
-pub mod ie_baseline;
 pub mod index;
-pub mod ir_baseline;
 pub mod patterns;
 pub mod taxonomy;
 
 pub use aliqan::{AliQAn, AliQAnConfig, AliQAnConfigBuilder, PipelineTrace};
 pub use analysis::{analyze_question, MainSb, QuestionAnalysis};
 pub use extraction::{Answer, AnswerValue};
-pub use ie_baseline::{IeBaseline, IeTemplate};
 pub use index::QaIndex;
-pub use ir_baseline::IrBaseline;
 pub use patterns::{default_patterns, temperature_pattern, QuestionPattern};
 pub use taxonomy::AnswerType;

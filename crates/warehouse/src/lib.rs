@@ -62,7 +62,7 @@ pub use dimension::{DimensionTable, MemberKey};
 pub use error::{Result, WarehouseError};
 pub use etl::{EtlReport, FactRow, FactRowBuilder, Rejection};
 pub use fact::FactTable;
-pub use plan::{MaterializedRollup, DEFAULT_MATERIALIZED_GROUP_LIMIT};
+pub use plan::{MaterializedRollup, Rollup, DEFAULT_MATERIALIZED_GROUP_LIMIT};
 pub use query::{AggFn, Aggregate, CubeQuery, Filter, FilterTarget, Predicate, ResultSet};
 pub use snapshot::{DimensionSnapshot, FactSnapshot, WarehouseSnapshot};
 pub use value::Value;

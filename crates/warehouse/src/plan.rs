@@ -19,9 +19,10 @@
 //! materialise with the state dropped ([`CubeQuery::run`]); a standing
 //! roll-up keeps the state and folds each commit's appended rows into
 //! it ([`MaterializedRollup::apply_delta`]). Rows are folded in
-//! ascending order across commits, so every `f64` bit matches
-//! [`CubeQuery::execute_reference`] — `tests/compiled_parity.rs` and
-//! `tests/incremental_parity.rs` hold that.
+//! ascending order across commits, so every `f64` bit matches the
+//! row-at-a-time reference ([`crate::testing`]) — `tests/compiled_parity.rs`
+//! and `tests/incremental_parity.rs` hold that. A query the state cannot
+//! carry is answered by that same scan, from one place: [`Rollup::build`].
 
 #![warn(clippy::unwrap_used)]
 #![warn(clippy::expect_used)]
@@ -150,13 +151,6 @@ impl GroupCoord {
     }
 }
 
-/// `build`'s answer for a query the state cannot carry: counted, and
-/// left to the reference executor.
-fn declined() -> Result<Option<MaterializedRollup>> {
-    dwqa_obs::counter_add(obs::WAREHOUSE_REFERENCE_FALLBACKS, 1);
-    Ok(None)
-}
-
 /// Packed key → slot in the accumulator table.
 #[derive(Debug, Clone)]
 enum SlotIndex {
@@ -199,9 +193,10 @@ impl MaterializedRollup {
     ///
     /// Performs exactly the checks of the reference executor, in the
     /// same order, so an invalid query reports the identical error.
-    /// Returns `Ok(None)` (counted as a reference fallback) when the
-    /// state cannot carry the query — its lanes do not fit the `u128`
-    /// key, or it has more than `group_limit` groups.
+    /// Returns `Ok(None)` when the state cannot carry the query — its
+    /// lanes do not fit the `u128` key, or it has more than
+    /// `group_limit` groups; [`Rollup::build`] answers such a query row
+    /// at a time.
     pub fn build(
         query: &CubeQuery,
         wh: &Warehouse,
@@ -303,7 +298,7 @@ impl MaterializedRollup {
         dwqa_obs::counter_add(obs::WAREHOUSE_PLANS_COMPILED, 1);
 
         if key_bits > u128::BITS {
-            return declined();
+            return Ok(None);
         }
         // A zero-group query is the key space of size one.
         let index = if key_bits <= DIRECT_INDEX_BITS {
@@ -330,7 +325,7 @@ impl MaterializedRollup {
             },
         };
         if !state.fold(fact) {
-            return declined();
+            return Ok(None);
         }
         state.materialize();
         Ok(Some(state))
@@ -340,10 +335,6 @@ impl MaterializedRollup {
     /// against the warehouse at the folded extent would return.
     pub fn result_set(&self) -> &ResultSet {
         &self.result
-    }
-
-    pub(crate) fn into_result_set(self) -> ResultSet {
-        self.result
     }
 
     /// The query this roll-up materialises.
@@ -514,5 +505,63 @@ impl MaterializedRollup {
             rows.truncate(n);
         }
         self.result.rows = rows;
+    }
+}
+
+/// What a roll-up read is served from: kernel state where the query
+/// shape permits, the row-at-a-time result where it does not.
+#[derive(Debug, Clone)]
+pub enum Rollup {
+    /// Kernel state that later commits maintain in place.
+    Live(Box<MaterializedRollup>),
+    /// The row-at-a-time result of a query the kernel declined; it
+    /// holds nothing to fold a delta into.
+    Fixed(ResultSet),
+}
+
+impl Rollup {
+    /// [`MaterializedRollup::build`], with a declined query answered
+    /// row at a time — the product's only use of that scan, counted by
+    /// `warehouse.reference.fallbacks`. Validation is the same on either
+    /// branch, so an invalid query reports the identical error.
+    pub fn build(query: &CubeQuery, wh: &Warehouse, group_limit: usize) -> Result<Rollup> {
+        Ok(match MaterializedRollup::build(query, wh, group_limit)? {
+            Some(state) => Rollup::Live(Box::new(state)),
+            None => {
+                dwqa_obs::counter_add(obs::WAREHOUSE_REFERENCE_FALLBACKS, 1);
+                Rollup::Fixed(query.row_at_a_time_fallback(wh)?)
+            }
+        })
+    }
+
+    /// The result as of the last build or absorbed delta.
+    pub fn result_set(&self) -> &ResultSet {
+        match self {
+            Rollup::Live(state) => state.result_set(),
+            Rollup::Fixed(result) => result,
+        }
+    }
+
+    /// Consumes the roll-up, keeping only its result.
+    pub fn into_result_set(self) -> ResultSet {
+        match self {
+            Rollup::Live(state) => state.result,
+            Rollup::Fixed(result) => result,
+        }
+    }
+
+    /// Folds a pure-append delta in ([`MaterializedRollup::apply_delta`])
+    /// and returns how many fact rows it brought; `None` — demote me —
+    /// when the delta cannot be absorbed, which a fixed result never can.
+    pub fn apply_delta(&mut self, wh: &Warehouse, delta: &WarehouseDelta) -> Option<usize> {
+        match self {
+            Rollup::Live(state) => {
+                let before = state.rows_folded();
+                state
+                    .apply_delta(wh, delta)
+                    .then(|| state.rows_folded() - before)
+            }
+            Rollup::Fixed(_) => None,
+        }
     }
 }

@@ -4,12 +4,12 @@
 //! dice), a list of group-by coordinates (`(role, level)` pairs — choosing
 //! a coarser level *is* roll-up, a finer one drill-down), and the
 //! aggregates to compute. [`CubeQuery::run`] executes through the fold
-//! kernel in `plan.rs`; [`CubeQuery::execute_reference`] is the
-//! row-at-a-time scan with hash aggregation that keeps the semantics
-//! obvious and serves as the kernel's oracle.
+//! kernel in `plan.rs`; the row-at-a-time scan with hash aggregation
+//! that keeps the semantics obvious answers the queries the kernel
+//! declines and, through [`crate::testing`], serves as its oracle.
 
 use crate::error::{Result, WarehouseError};
-use crate::plan::{MaterializedRollup, DEFAULT_MATERIALIZED_GROUP_LIMIT};
+use crate::plan::{Rollup, DEFAULT_MATERIALIZED_GROUP_LIMIT};
 use crate::value::Value;
 use crate::warehouse::Warehouse;
 use serde::{Deserialize, Serialize};
@@ -353,22 +353,28 @@ impl CubeQuery {
     /// Executes against a warehouse: compiles the roll-up state, folds
     /// every fact row through the kernel ([`crate::MaterializedRollup`])
     /// and returns the materialised result. A query the kernel declines
-    /// is answered by [`CubeQuery::execute_reference`] (counted by
+    /// is answered row at a time (counted by
     /// `warehouse.reference.fallbacks`); results are byte-identical
     /// either way.
     pub fn run(&self, wh: &Warehouse) -> Result<ResultSet> {
-        match MaterializedRollup::build(self, wh, DEFAULT_MATERIALIZED_GROUP_LIMIT)? {
-            Some(state) => Ok(state.into_result_set()),
-            None => self.execute_reference(wh),
-        }
+        Ok(Rollup::build(self, wh, DEFAULT_MATERIALIZED_GROUP_LIMIT)?.into_result_set())
     }
 
-    /// The original row-at-a-time executor, kept as the semantic
-    /// reference: it re-resolves member values and hashes a
-    /// `Vec<Value>` group key per fact row. `run` must produce exactly
-    /// the same rows, ordering and column names (proptest-enforced in
-    /// `tests/compiled_parity.rs`).
+    /// Superseded by [`crate::testing::execute_reference`]; kept for the
+    /// end-to-end benchmark until it switches over.
+    #[doc(hidden)]
     pub fn execute_reference(&self, wh: &Warehouse) -> Result<ResultSet> {
+        crate::testing::execute_reference(self, wh)
+    }
+
+    /// The original row-at-a-time executor: it re-resolves member values
+    /// and hashes a `Vec<Value>` group key per fact row. The kernel must
+    /// produce exactly the same rows, ordering and column names
+    /// (proptest-enforced in `tests/compiled_parity.rs`, which reach
+    /// this through [`crate::testing`]). The product calls it from one
+    /// place, [`Rollup::build`], for a query the kernel has declined,
+    /// and counts the call as `warehouse.reference.fallbacks`.
+    pub(crate) fn row_at_a_time_fallback(&self, wh: &Warehouse) -> Result<ResultSet> {
         let fact = wh.fact(&self.fact)?;
 
         // Resolve and validate everything up front.

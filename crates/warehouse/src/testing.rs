@@ -1,4 +1,5 @@
-//! Deterministic, seed-decoded generators shared by the differential
+//! Test support: the roll-up oracle ([`execute_reference`]) and the
+//! deterministic, seed-decoded generators shared by the differential
 //! test suites (`tests/compiled_parity.rs`, `tests/incremental_parity.rs`)
 //! and the experiment binaries.
 //!
@@ -10,10 +11,20 @@
 //! yields the same warehouse in a parity proptest, an incremental-
 //! maintenance proptest, and a benchmark.
 
+use crate::error::Result;
 use crate::etl::{FactRow, FactRowBuilder};
-use crate::query::{AggFn, CubeQuery, Predicate};
+use crate::query::{AggFn, CubeQuery, Predicate, ResultSet};
 use crate::value::Value;
 use crate::warehouse::Warehouse;
+
+/// The semantic reference every roll-up path is held to, byte for byte:
+/// `query` answered by the original row-at-a-time scan with hash
+/// aggregation, whatever the kernel would have made of it. Uncounted —
+/// `warehouse.reference.fallbacks` counts the product's declines, not
+/// the oracle's reads.
+pub fn execute_reference(query: &CubeQuery, wh: &Warehouse) -> Result<ResultSet> {
+    query.row_at_a_time_fallback(wh)
+}
 
 /// City pool for synthetic airports (shared across hierarchy levels so
 /// roll-up merging is exercised).

@@ -2,7 +2,7 @@
 //! [`MaterializedRollup`] that absorbs typed [`WarehouseDelta`]s across
 //! arbitrary interleavings of feed-commit / rollback / crash-recovery /
 //! query must stay **byte-identical** to a cold
-//! [`CubeQuery::execute_reference`] recompute — including forced-demotion
+//! [`execute_reference`] recompute — including forced-demotion
 //! interleavings (a tiny group limit) and recovery interleavings (the
 //! warehouse replaced by a snapshot replay of identical content).
 //!
@@ -10,7 +10,7 @@
 //! via [`dwqa_warehouse::testing`]; each case is seeded from raw `u64`s
 //! and reproduces deterministically.
 
-use dwqa_warehouse::testing::{build_query, build_warehouse, sales_batch, Mix};
+use dwqa_warehouse::testing::{build_query, build_warehouse, execute_reference, sales_batch, Mix};
 use dwqa_warehouse::{
     AggFn, CubeQuery, MaterializedRollup, Predicate, Value, Warehouse,
     DEFAULT_MATERIALIZED_GROUP_LIMIT,
@@ -79,7 +79,7 @@ fn check_interleaving(init_seed: u64, op_seed: u64, query_seeds: &[u64], group_l
                 // to a cold reference recompute, and invalid queries
                 // must report the identical error from either path.
                 for (q, slot) in queries.iter().zip(&mut mats) {
-                    let expected = q.execute_reference(&wh);
+                    let expected = execute_reference(q, &wh);
                     if slot.is_none() {
                         match (MaterializedRollup::build(q, &wh, group_limit), &expected) {
                             (Ok(opt), Ok(_)) => *slot = opt,
@@ -158,7 +158,7 @@ fn new_members_extend_masks_and_ordinal_maps() {
     let mut mat = MaterializedRollup::build(&q, &wh, DEFAULT_MATERIALIZED_GROUP_LIMIT)
         .unwrap()
         .expect("materializable");
-    assert_eq!(mat.result_set(), &q.execute_reference(&wh).unwrap());
+    assert_eq!(mat.result_set(), &execute_reference(&q, &wh).unwrap());
 
     // Seeds decode to airports 0..10; a fresh batch with high seeds
     // reaches different airports/customers/dates, creating members the
@@ -172,7 +172,7 @@ fn new_members_extend_masks_and_ordinal_maps() {
         mat.apply_delta(&wh, &delta),
         "pure-append delta with new members must be absorbable"
     );
-    assert_eq!(mat.result_set(), &q.execute_reference(&wh).unwrap());
+    assert_eq!(mat.result_set(), &execute_reference(&q, &wh).unwrap());
     assert_eq!(mat.rows_folded(), 8);
 }
 
@@ -185,7 +185,7 @@ fn group_growth_past_the_limit_demotes() {
         .group_by("Date", "Date")
         .aggregate("price", AggFn::Count);
     // Limit chosen to accept the build but not much growth.
-    let groups_now = q.execute_reference(&wh).unwrap().rows.len();
+    let groups_now = execute_reference(&q, &wh).unwrap().rows.len();
     let mut mat = MaterializedRollup::build(&q, &wh, groups_now)
         .unwrap()
         .expect("fits exactly at the limit");
@@ -203,14 +203,14 @@ fn group_growth_past_the_limit_demotes() {
             demoted = true;
             break;
         }
-        assert_eq!(mat.result_set(), &q.execute_reference(&wh).unwrap());
+        assert_eq!(mat.result_set(), &execute_reference(&q, &wh).unwrap());
     }
     assert!(demoted, "27 possible dates > initial groups; must demote");
     // A rebuild at the default limit picks the query back up exactly.
     let rebuilt = MaterializedRollup::build(&q, &wh, DEFAULT_MATERIALIZED_GROUP_LIMIT)
         .unwrap()
         .expect("materializable at the default limit");
-    assert_eq!(rebuilt.result_set(), &q.execute_reference(&wh).unwrap());
+    assert_eq!(rebuilt.result_set(), &execute_reference(&q, &wh).unwrap());
 }
 
 /// A delta whose before-extent doesn't line up with the folded state
@@ -254,12 +254,12 @@ fn five_coordinates_are_materializable() {
     let mut mat = MaterializedRollup::build(&q, &wh, DEFAULT_MATERIALIZED_GROUP_LIMIT)
         .unwrap()
         .expect("five lanes fit the key");
-    assert_eq!(mat.result_set(), &q.execute_reference(&wh).unwrap());
+    assert_eq!(mat.result_set(), &execute_reference(&q, &wh).unwrap());
 
     let tracker = wh.delta_tracker();
     wh.load("Last Minute Sales", sales_batch(&[4, 5])).unwrap();
     let delta = wh.delta_since(&tracker).unwrap();
     assert!(mat.apply_delta(&wh, &delta));
-    assert_eq!(mat.result_set(), &q.execute_reference(&wh).unwrap());
-    assert_eq!(q.run(&wh).unwrap(), q.execute_reference(&wh).unwrap());
+    assert_eq!(mat.result_set(), &execute_reference(&q, &wh).unwrap());
+    assert_eq!(q.run(&wh).unwrap(), execute_reference(&q, &wh).unwrap());
 }

@@ -13,7 +13,7 @@ use dwqa_core::{
 use dwqa_corpus::{
     default_cities, generate_sales, generate_weather_corpus, PageStyle, SalesConfig, WeatherConfig,
 };
-use dwqa_warehouse::testing::{build_query, build_warehouse, sales_batch, Mix};
+use dwqa_warehouse::testing::{build_query, build_warehouse, execute_reference, sales_batch, Mix};
 use dwqa_warehouse::{CubeQuery, Warehouse, DEFAULT_MATERIALIZED_GROUP_LIMIT};
 use proptest::prelude::*;
 
@@ -21,7 +21,7 @@ use proptest::prelude::*;
 /// the pipeline's part: commits capture an append delta and fold it into
 /// the registry; rollbacks and crash-recoveries replace the warehouse
 /// with identical content and leave the registry untouched. Every query
-/// op must match a cold [`CubeQuery::execute_reference`] recompute
+/// op must match a cold [`execute_reference`] recompute
 /// exactly.
 fn check_cache_interleaving(init_seed: u64, op_seed: u64, query_seeds: &[u64], group_limit: usize) {
     let mut m = Mix(init_seed);
@@ -64,7 +64,7 @@ fn check_cache_interleaving(init_seed: u64, op_seed: u64, query_seeds: &[u64], g
             _ => {
                 for q in &queries {
                     let got = cache.run(&wh, q);
-                    let want = q.execute_reference(&wh);
+                    let want = execute_reference(q, &wh);
                     match (&got, &want) {
                         (Ok(a), Ok(b)) => {
                             assert_eq!(a, b, "cache diverged from reference for {q:?}")

@@ -4,16 +4,13 @@
 //! evaluation so a regression in any substrate that would silently change
 //! the *story* fails loudly.
 
+use dwqa_baselines::{evaluate_temperatures, IeBaseline, IeTemplate, IrBaseline};
 use dwqa_common::{Date, Month};
-use dwqa_core::{
-    evaluate_temperatures, integrated_schema, preprocess_tables, IntegrationPipeline,
-    PipelineOptions,
-};
+use dwqa_core::{integrated_schema, preprocess_tables, IntegrationPipeline, PipelineOptions};
 use dwqa_corpus::{
     default_cities, generate_distractors, generate_weather_corpus, PageStyle, WeatherConfig,
 };
 use dwqa_ir::DocumentStore;
-use dwqa_qa::{IeBaseline, IeTemplate, IrBaseline};
 use dwqa_warehouse::Warehouse;
 
 fn corpus(styles: &[PageStyle]) -> (DocumentStore, dwqa_corpus::GroundTruth) {
@@ -76,7 +73,7 @@ fn daily_eval(
     pipeline: &IntegrationPipeline,
     truth: &dwqa_corpus::GroundTruth,
     city: &str,
-) -> dwqa_core::ExtractionEval {
+) -> dwqa_baselines::ExtractionEval {
     let read = pipeline.read_path();
     let mut answers = Vec::new();
     for d in Date::month_days(2004, Month::January) {

@@ -12,11 +12,12 @@
 //! analyses by sentence number, and the retriever's IDF table — which the
 //! reference shares — is the document-level `InvertedIndex`'s, bit for bit.
 
+use dwqa_baselines::InvertedIndex;
 use dwqa_bench::{build_fixture, daily_questions, expected_points, Fixture, FixtureConfig};
 use dwqa_common::Month;
 use dwqa_ir::index::index_terms;
 use dwqa_ir::testing::retrieve_weighted_exhaustive;
-use dwqa_ir::{InvertedIndex, PassageRetriever};
+use dwqa_ir::PassageRetriever;
 use dwqa_qa::QaIndex;
 
 /// Same month in two years and two months of one year: pages that differ

@@ -4,9 +4,10 @@
 //! schema-generic transforms, and format handling through the whole
 //! pipeline.
 
+use dwqa_baselines::{CubeSlice, InvertedIndex, MultidimensionalIndex};
 use dwqa_common::{Date, Month};
 use dwqa_corpus::{default_cities, generate_weather_corpus, PageStyle, WeatherConfig};
-use dwqa_ir::{CubeSlice, DocFormat, InvertedIndex, MultidimensionalIndex};
+use dwqa_ir::DocFormat;
 use dwqa_mdmodel::patient_treatments;
 use dwqa_nlp::Lexicon;
 use dwqa_ontology::{
