@@ -19,8 +19,9 @@ pub struct TemperatureAxioms {
 impl Default for TemperatureAxioms {
     fn default() -> TemperatureAxioms {
         TemperatureAxioms {
-            // Earth surface extremes with margin.
-            range_c: (-90.0, 60.0),
+            // Module 3's own axiom, so extraction and feed agree on which
+            // readings exist: Earth surface extremes with margin.
+            range_c: dwqa_qa::extraction::TEMP_RANGE_C,
         }
     }
 }
@@ -87,6 +88,46 @@ mod tests {
         assert!(ax.validate(-90.0, TempUnit::Celsius).is_ok());
         assert!(ax.validate(60.0, TempUnit::Celsius).is_ok());
         assert!(ax.validate(60.1, TempUnit::Celsius).is_err());
+    }
+
+    /// Step 4 has one plausible range: a reading Module 3 extracts is a
+    /// reading Step 5 loads, at both bounds and just outside them.
+    #[test]
+    fn extraction_and_feed_give_the_same_verdict_at_the_bounds() {
+        use dwqa_ir::{DocFormat, Document, DocumentStore};
+        use dwqa_qa::{temperature_pattern, AliQAn, AliQAnConfig, AnswerValue};
+        use TempUnit::{Celsius, Fahrenheit};
+        let axioms = TemperatureAxioms::default();
+        let mut qa = AliQAn::new(upper_ontology(), AliQAnConfig::default());
+        qa.tune(temperature_pattern());
+        for (written, value, unit, plausible) in [
+            ("-90º C", -90.0, Celsius, true),
+            ("60º C", 60.0, Celsius, true),
+            ("-90.1º C", -90.1, Celsius, false),
+            ("60.1º C", 60.1, Celsius, false),
+            ("-130 F", -130.0, Fahrenheit, true),
+            ("140 F", 140.0, Fahrenheit, true),
+            ("-130.2 F", -130.2, Fahrenheit, false),
+            ("140.2 F", 140.2, Fahrenheit, false),
+        ] {
+            let mut store = DocumentStore::new();
+            let page = format!(
+                "Saturday, January 31, 2004\nBarcelona Weather: Temperature {written} today"
+            );
+            store.add(Document::new("u", DocFormat::Plain, "", &page));
+            qa.index_corpus(store);
+            let extracted: Vec<f64> = qa
+                .answer("What is the temperature in January of 2004 in Barcelona?")
+                .iter()
+                .filter_map(|a| match a.value {
+                    AnswerValue::Temperature { raw, .. } => Some(raw),
+                    _ => None,
+                })
+                .collect();
+            let expected = if plausible { vec![value] } else { vec![] };
+            assert_eq!(extracted, expected, "extraction of {written}");
+            assert_eq!(axioms.validate(value, unit).is_ok(), plausible, "{written}");
+        }
     }
 
     #[test]
