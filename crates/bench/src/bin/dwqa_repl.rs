@@ -8,14 +8,11 @@
 //! * `:trace <question>` — print the Table-1 pipeline trace;
 //! * `:trace` — print the span tree of the most recent question from
 //!   the flight recorder (every question is traced: timings, retrieval
-//!   pruning, fault-layer retries, cache disposition);
+//!   pruning, cache disposition);
 //! * `:bands` — the sales-vs-temperature analysis on current DW contents;
 //! * `:missing` — DW-proposed questions for January 2004;
 //! * `:stats` — per-stage latency histograms, cache counters, outcome
-//!   taxonomy and resilience counters (retries, breaker trips, timeouts,
-//!   rollbacks);
-//! * `:chaos <rate>` — route document acquisition through a seeded fault
-//!   injector at the given transient-error rate (0 disables);
+//!   taxonomy and resilience counters (rollbacks, worker deaths);
 //! * `:persist <path>` — attach a durable feedback store at `path`:
 //!   recovers any existing checkpoint + WAL first, then WAL-logs every
 //!   committed feed before acknowledging it;
@@ -36,14 +33,9 @@ use dwqa_bench::{build_fixture, FixtureConfig};
 use dwqa_common::Month;
 use dwqa_corpus::PageStyle;
 use dwqa_engine::QaSession;
-use dwqa_faults::{CorpusSource, FaultInjector, FaultPlan, ResilientSource, RetryPolicy};
 use dwqa_server::{QaClient, QaServer, ServerConfig};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Seed for the REPL's interactive chaos toggle.
-const CHAOS_SEED: u64 = 42;
 
 fn main() {
     println!("Building the integrated pipeline (seeded corpus + DW)…");
@@ -59,7 +51,7 @@ fn main() {
     println!(
         "Ready: {} documents indexed, {} ontology instances fed, {} sales rows.\n\
          Ask a question (e.g. \"What is the temperature on January 15, 2004 in Barcelona?\"),\n\
-         or :trace [question] / :bands / :missing / :stats / :chaos <rate> / :persist <path>\n\
+         or :trace [question] / :bands / :missing / :stats / :persist <path>\n\
          / :recover <path> / :serve <port> / :replicas <addr> / :promote <addr> / :quit.",
         fx.corpus_size,
         fx.pipeline.enrichment.instances_added,
@@ -133,38 +125,6 @@ fn main() {
                 session.history().len(),
                 session.engine().cache().len()
             );
-            continue;
-        }
-        if let Some(rate) = line.strip_prefix(":chaos ") {
-            match rate.trim().parse::<f64>() {
-                Ok(rate) if rate <= 0.0 => {
-                    session.engine_mut().set_source(None);
-                    session.engine_mut().set_deadline(None);
-                    println!("chaos off: documents served straight from the index");
-                }
-                Ok(rate) => match fx.pipeline.qa.store() {
-                    Some(store) => {
-                        let rate = rate.min(1.0);
-                        let source = Arc::new(ResilientSource::new(
-                            FaultInjector::new(
-                                CorpusSource::new(store),
-                                FaultPlan::chaos(CHAOS_SEED, rate),
-                            ),
-                            RetryPolicy::default(),
-                        ));
-                        session.engine_mut().set_source(Some(source));
-                        session
-                            .engine_mut()
-                            .set_deadline(Some(Duration::from_secs(5)));
-                        println!(
-                            "chaos on: transient rate {rate:.2} (seed {CHAOS_SEED}), \
-                             default retry policy, 5s per-question deadline"
-                        );
-                    }
-                    None => println!("no indexed corpus to inject faults into"),
-                },
-                Err(_) => println!("usage: :chaos <rate between 0 and 1>"),
-            }
             continue;
         }
         let persist = line

@@ -26,8 +26,8 @@ use dwqa_bench::{build_fixture, daily_questions, section, FixtureConfig};
 use dwqa_common::{mix64, Month};
 use dwqa_core::IntegrationPipeline;
 use dwqa_corpus::PageStyle;
-use dwqa_faults::LinkPlan;
 use dwqa_qa::Answer;
+use dwqa_server::repl::LinkPlan;
 use dwqa_server::{
     QaClient, QaServer, ReplicasReport, ReplicationConfig, ReplicationMode, ServerConfig, Status,
 };

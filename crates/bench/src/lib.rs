@@ -154,8 +154,8 @@ pub fn expected_points(cities: &[CityClimate], year: i32, month: Month) -> Vec<(
     out
 }
 
-/// Average fed temperature by city: the roll-up the chaos checks cache
-/// before a feed, because a weather commit must fold into it and a
+/// Average fed temperature by city: the roll-up the rollback checks
+/// cache before a feed, because a weather commit must fold into it and a
 /// rolled-back one must leave it alone.
 pub fn weather_by_city() -> CubeQuery {
     CubeQuery::on("City Weather")

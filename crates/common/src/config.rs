@@ -4,8 +4,8 @@
 //! `T::builder() … .build() -> Result<T, ConfigError>`, validating
 //! ranges at `build()` time instead of clamping silently or panicking
 //! at first use. The error type lives here — the one crate everything
-//! depends on — so `dwqa-qa`, `dwqa-faults`, `dwqa-core` and
-//! `dwqa-server` all report invalid knobs the same way, and
+//! depends on — so `dwqa-qa`, `dwqa-core` and `dwqa-server` all
+//! report invalid knobs the same way, and
 //! `dwqa_core::Error` can absorb them all through a single `From`.
 
 use std::fmt;

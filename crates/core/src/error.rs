@@ -1,16 +1,15 @@
 //! The workspace-wide error taxonomy.
 //!
-//! Callers used to juggle three crate-local enums — `FeedError` from the
-//! Step-5 ETL, `SourceError` from the acquisition/retry layer, and the
-//! service protocol errors — plus builder validation failures.
-//! [`Error`] absorbs them all through `From` impls, so application code
-//! matches **one** `#[non_exhaustive]` enum and `?` does the lifting.
+//! Callers used to juggle crate-local enums — `FeedError` from the
+//! Step-5 ETL and the service protocol errors — plus builder validation
+//! failures. [`Error`] absorbs them all through `From` impls, so
+//! application code matches **one** `#[non_exhaustive]` enum and `?`
+//! does the lifting.
 //! The inner errors are kept intact and exposed via
 //! [`std::error::Error::source`], so nothing is stringly flattened.
 
 use crate::feedback::FeedError;
 use dwqa_common::ConfigError;
-use dwqa_faults::SourceError;
 use std::fmt;
 
 /// Any error the integrated DW ⇄ QA system can surface.
@@ -23,9 +22,6 @@ use std::fmt;
 pub enum Error {
     /// A Step-5 feedback transaction failed and was rolled back.
     Feed(FeedError),
-    /// Document acquisition failed (transient fault, 404, deadline,
-    /// open circuit breaker).
-    Source(SourceError),
     /// A builder rejected a configuration knob at `build()`.
     Config(ConfigError),
     /// A service wire-protocol violation (malformed request line,
@@ -39,7 +35,6 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::Feed(e) => write!(f, "feedback: {e}"),
-            Error::Source(e) => write!(f, "acquisition: {e}"),
             Error::Config(e) => write!(f, "{e}"),
             Error::Protocol(why) => write!(f, "protocol: {why}"),
             Error::Io(e) => write!(f, "io: {e}"),
@@ -51,7 +46,6 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Feed(e) => Some(e),
-            Error::Source(e) => Some(e),
             Error::Config(e) => Some(e),
             Error::Protocol(_) => None,
             Error::Io(e) => Some(e),
@@ -62,12 +56,6 @@ impl std::error::Error for Error {
 impl From<FeedError> for Error {
     fn from(e: FeedError) -> Error {
         Error::Feed(e)
-    }
-}
-
-impl From<SourceError> for Error {
-    fn from(e: SourceError) -> Error {
-        Error::Source(e)
     }
 }
 
@@ -93,14 +81,10 @@ mod tests {
         fn fails_feed() -> Result<(), Error> {
             Err(FeedError::Etl("disk full".into()))?
         }
-        fn fails_source() -> Result<(), Error> {
-            Err(SourceError::NotFound("http://gone".into()))?
-        }
         fn fails_config() -> Result<(), Error> {
             Err(ConfigError::new("k", "must be positive"))?
         }
         assert!(matches!(fails_feed(), Err(Error::Feed(_))));
-        assert!(matches!(fails_source(), Err(Error::Source(_))));
         assert!(matches!(fails_config(), Err(Error::Config(_))));
     }
 

@@ -2,9 +2,7 @@
 //! question text. An answer is a pure function of the question and the
 //! QA index, which is immutable once built, so an entry never goes
 //! stale: the feedback ETL only writes into the warehouse and a commit
-//! leaves this cache alone. The one other input — the engine's optional
-//! document source — is not in the key; the engine clears the cache
-//! when the source changes.
+//! leaves this cache alone.
 //!
 //! The map is split into [`DEFAULT_SHARDS`] independently-locked shards
 //! selected by the key's hash, so concurrent workers answering different
@@ -18,10 +16,10 @@
 //! striped-cache trade-off.
 
 use dwqa_qa::Answer;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Default number of lock stripes. Eight keeps contention negligible for
 /// the service's worker pools (2–8 threads) while the per-shard memory
@@ -127,7 +125,11 @@ impl AnswerCache {
 
     /// Looks up a normalized key, refreshing the entry's recency.
     pub fn lookup(&self, key: &str) -> Option<Vec<Answer>> {
-        let mut inner = self.shard_of(key).inner.lock();
+        let mut inner = self
+            .shard_of(key)
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         inner.tick += 1;
         let tick = inner.tick;
         let entry = inner.map.get_mut(key)?;
@@ -142,7 +144,7 @@ impl AnswerCache {
             return;
         }
         let shard = self.shard_of(&key);
-        let mut inner = shard.inner.lock();
+        let mut inner = shard.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.tick += 1;
         let tick = inner.tick;
         let replaced = inner.map.insert(
@@ -168,15 +170,6 @@ impl AnswerCache {
                 }
                 None => break,
             };
-        }
-    }
-
-    /// Drops everything.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut inner = shard.inner.lock();
-            inner.map.clear();
-            shard.entries.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -260,6 +253,7 @@ mod tests {
         // never overflow a stripe however skewed the hash is.
         let cache = AnswerCache::with_shards(320, 8);
         assert_eq!(cache.shards(), 8);
+        assert!(cache.is_empty());
         for i in 0..40 {
             cache.store(format!("question {i}"), vec![]);
         }
@@ -269,12 +263,6 @@ mod tests {
             cache.store(format!("question {i}"), vec![]);
         }
         assert_eq!(cache.len(), 40);
-        cache.clear();
-        assert!(cache.is_empty());
-        cache.store("back".into(), vec![]);
-        assert_eq!(cache.len(), 1);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]
@@ -314,10 +302,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        // The counter mirror never ran past the capacity, and a full
-        // clear zeroes it.
+        // The counter mirror never ran past the capacity.
         assert!(cache.len() <= 256);
-        cache.clear();
-        assert_eq!(cache.len(), 0);
     }
 }

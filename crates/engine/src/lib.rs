@@ -7,7 +7,7 @@
 //! (the Step-5 feedback ETL). This crate builds the production machinery
 //! on top of that split:
 //!
-//! * [`QaEngine`] — a worker-thread pool (crossbeam scoped threads) that
+//! * [`QaEngine`] — a worker-thread pool (`std` scoped threads) that
 //!   answers question batches in parallel and merges results in input
 //!   order, so reports are deterministic no matter how work interleaves;
 //! * [`AnswerCache`] — a bounded LRU cache keyed on normalized question

@@ -1,24 +1,18 @@
-//! Degraded-answer taxonomy: how a question's answer attempt ended.
+//! The outcome taxonomy: how a question's answer attempt ended.
 
 use dwqa_qa::Answer;
 use std::any::Any;
 use std::fmt;
 
 /// How one question's answer attempt ended. Anything but
-/// [`AnswerOutcome::Ok`] means the answers (possibly empty) were produced
-/// under some failure and should be trusted accordingly.
+/// [`AnswerOutcome::Ok`] means the attempt failed and carries no
+/// answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AnswerOutcome {
     /// The full pipeline ran cleanly; answers are first-class.
     Ok,
-    /// Acquisition faults degraded the evidence (failed or corrupted
-    /// fetches, dropped passages or answers); surviving answers were
-    /// re-validated against the fetched bodies.
-    Degraded,
     /// The per-question deadline expired before the pipeline finished.
     TimedOut,
-    /// Every source document was unavailable; no extraction was possible.
-    SourceUnavailable,
     /// The question's worker panicked; the panic was isolated and the
     /// worker pool survived.
     Panicked,
@@ -34,9 +28,7 @@ impl AnswerOutcome {
     pub fn label(&self) -> &'static str {
         match self {
             AnswerOutcome::Ok => "ok",
-            AnswerOutcome::Degraded => "degraded",
             AnswerOutcome::TimedOut => "timed-out",
-            AnswerOutcome::SourceUnavailable => "source-unavailable",
             AnswerOutcome::Panicked => "panicked",
         }
     }
@@ -51,11 +43,11 @@ impl fmt::Display for AnswerOutcome {
 /// One question's answers plus how the attempt ended.
 #[derive(Debug, Clone)]
 pub struct QuestionReport {
-    /// Extracted (and, under faults, re-validated) answers.
+    /// Extracted answers.
     pub answers: Vec<Answer>,
     /// How the attempt ended.
     pub outcome: AnswerOutcome,
-    /// Human-readable failure/degradation detail, if any.
+    /// Human-readable failure detail, if any.
     pub detail: Option<String>,
 }
 
@@ -69,31 +61,12 @@ impl QuestionReport {
         }
     }
 
-    /// A degraded result: answers survived re-validation but the
-    /// evidence was faulty.
-    pub fn degraded(answers: Vec<Answer>, detail: String) -> QuestionReport {
-        QuestionReport {
-            answers,
-            outcome: AnswerOutcome::Degraded,
-            detail: Some(detail),
-        }
-    }
-
     /// The per-question deadline expired.
     pub fn timed_out(detail: &str) -> QuestionReport {
         QuestionReport {
             answers: Vec::new(),
             outcome: AnswerOutcome::TimedOut,
             detail: Some(detail.to_owned()),
-        }
-    }
-
-    /// Every source document was unavailable.
-    pub fn source_unavailable(detail: String) -> QuestionReport {
-        QuestionReport {
-            answers: Vec::new(),
-            outcome: AnswerOutcome::SourceUnavailable,
-            detail: Some(detail),
         }
     }
 
@@ -125,12 +98,10 @@ mod tests {
     #[test]
     fn labels_are_stable_and_display() {
         assert_eq!(AnswerOutcome::Ok.to_string(), "ok");
-        assert_eq!(
-            AnswerOutcome::SourceUnavailable.label(),
-            "source-unavailable"
-        );
+        assert_eq!(AnswerOutcome::TimedOut.label(), "timed-out");
+        assert_eq!(AnswerOutcome::Panicked.to_string(), "panicked");
         assert!(AnswerOutcome::Ok.is_ok());
-        assert!(!AnswerOutcome::Degraded.is_ok());
+        assert!(!AnswerOutcome::TimedOut.is_ok());
     }
 
     #[test]

@@ -11,14 +11,11 @@ use crate::cache::{normalize_question, AnswerCache};
 use crate::outcome::{panic_message, AnswerOutcome, QuestionReport};
 use crate::stats::EngineStats;
 use dwqa_core::{FeedReport, IntegrationPipeline, ReadPath};
-use dwqa_faults::{DocumentSource, Fetched, SourceHealth};
 use dwqa_obs::{FlightRecorder, Trace, Tracer};
 use dwqa_qa::{Answer, PipelineTrace};
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Default answer-cache capacity (questions).
@@ -29,31 +26,29 @@ fn expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
 }
 
-/// Collapses all whitespace runs to single spaces, so sentence
-/// containment is robust to the newline/trim normalisation the sentence
-/// splitter applies.
-fn normalize_ws(s: &str) -> String {
-    s.split_whitespace().collect::<Vec<_>>().join(" ")
+/// Runs one question's answer path with its panic isolated: a panic
+/// becomes an [`AnswerOutcome::Panicked`] report carrying the payload,
+/// and the report's outcome is counted either way.
+fn isolated(stats: &EngineStats, answer: impl FnOnce() -> QuestionReport) -> QuestionReport {
+    let report = catch_unwind(AssertUnwindSafe(answer))
+        .unwrap_or_else(|payload| QuestionReport::panicked(panic_message(payload.as_ref())));
+    stats.record_outcome(report.outcome);
+    report
 }
 
 /// The concurrent QA engine: a worker pool over the pipeline's immutable
 /// read path, an answer cache, and per-stage statistics. Shareable across
 /// threads by reference; cheap to construct from any pipeline.
 ///
-/// Optionally hardened: with a [`DocumentSource`] attached
-/// ([`QaEngine::with_source`]) every cache miss re-acquires its passage
-/// documents through the (possibly unreliable) source and re-validates
-/// extracted answers against the fetched bodies; with a deadline
-/// ([`QaEngine::with_deadline`]) each question gets a wall-clock budget.
-/// Worker panics are always isolated to the offending question.
+/// A caller may give each question a wall-clock deadline
+/// ([`QaEngine::answer_checked_by`]). Worker panics are always isolated
+/// to the offending question.
 pub struct QaEngine {
     read: ReadPath,
     cache: AnswerCache,
     stats: EngineStats,
     tracer: Tracer,
     workers: usize,
-    source: Option<Arc<dyn DocumentSource>>,
-    deadline: Option<Duration>,
 }
 
 impl QaEngine {
@@ -74,8 +69,6 @@ impl QaEngine {
             stats: EngineStats::default(),
             tracer: Tracer::default(),
             workers,
-            source: None,
-            deadline: None,
         }
     }
 
@@ -83,51 +76,6 @@ impl QaEngine {
     pub fn with_workers(mut self, workers: usize) -> QaEngine {
         self.workers = workers.max(1);
         self
-    }
-
-    /// Attaches a document source: every cache miss re-acquires its
-    /// passage documents through it and re-validates extracted answers
-    /// against the fetched bodies.
-    pub fn with_source(mut self, source: Arc<dyn DocumentSource>) -> QaEngine {
-        self.set_source(Some(source));
-        self
-    }
-
-    /// Sets or clears the document source in place (the REPL's `:chaos`
-    /// toggle). The source is the one input to an answer that is not in
-    /// the cache key, so the cache is cleared: a question answered under
-    /// the previous source must reach acquisition and re-validation
-    /// again.
-    pub fn set_source(&mut self, source: Option<Arc<dyn DocumentSource>>) {
-        self.source = source;
-        self.cache.clear();
-    }
-
-    /// Gives every question a wall-clock budget; on expiry the question
-    /// reports [`AnswerOutcome::TimedOut`] instead of running on.
-    pub fn with_deadline(mut self, budget: Duration) -> QaEngine {
-        self.deadline = Some(budget);
-        self
-    }
-
-    /// Sets or clears the per-question deadline in place.
-    pub fn set_deadline(&mut self, budget: Option<Duration>) {
-        self.deadline = budget;
-    }
-
-    /// The attached document source, if any.
-    pub fn source(&self) -> Option<&Arc<dyn DocumentSource>> {
-        self.source.as_ref()
-    }
-
-    /// The per-question deadline, if any.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    /// Cumulative health of the attached source stack.
-    pub fn source_health(&self) -> Option<SourceHealth> {
-        self.source.as_ref().map(|s| s.health())
     }
 
     /// Replaces the answer cache with one of the given capacity
@@ -198,20 +146,17 @@ impl QaEngine {
         self.answer_checked(question).answers
     }
 
-    /// Answers one question with full hardening: panic isolation, the
-    /// per-question deadline, and (when a source is attached) document
-    /// re-acquisition with answer re-validation. Never panics; the
+    /// Answers one question with its panic isolated. Never panics; the
     /// outcome tag says how the attempt ended.
     pub fn answer_checked(&self, question: &str) -> QuestionReport {
         self.answer_observed(question, None, None)
     }
 
-    /// [`QaEngine::answer_checked`] with an explicit wall-clock deadline
-    /// for this one question, overriding the engine-wide budget. `None`
-    /// falls back to the engine's [`QaEngine::with_deadline`] default.
-    /// This is how a service front end propagates a per-request deadline
-    /// down to the pipeline stages without reconfiguring the shared
-    /// engine.
+    /// [`QaEngine::answer_checked`] with a wall-clock deadline for this
+    /// one question (`None`: no deadline); on expiry the question
+    /// reports [`AnswerOutcome::TimedOut`] instead of running on. This
+    /// is how a service front end propagates a per-request deadline down
+    /// to the pipeline stages of the shared engine.
     pub fn answer_checked_by(&self, question: &str, deadline: Option<Instant>) -> QuestionReport {
         self.answer_observed(question, None, deadline)
     }
@@ -236,20 +181,11 @@ impl QaEngine {
         if let Some(i) = batch_index {
             obs.root_field("batch_index", i);
         }
-        let deadline = deadline.or_else(|| self.deadline.map(|budget| Instant::now() + budget));
-        let report =
-            match catch_unwind(AssertUnwindSafe(|| self.answer_guarded(question, deadline))) {
-                Ok(report) => report,
-                Err(payload) => QuestionReport::panicked(panic_message(payload.as_ref())),
-            };
-        self.stats.record_outcome(report.outcome);
+        let report = isolated(&self.stats, || self.answer_guarded(question, deadline));
         obs.root_field("outcome", report.outcome.label());
         obs.root_field("answers", report.answers.len());
         if let Some(detail) = &report.detail {
             obs.root_field("detail", detail.as_str());
-        }
-        if let Some(health) = self.source_health() {
-            self.stats.sync_source_health(&health);
         }
         report
     }
@@ -275,7 +211,7 @@ impl QaEngine {
             return QuestionReport::timed_out("deadline expired after question analysis");
         }
         let t = Instant::now();
-        let mut passages = {
+        let passages = {
             let span = dwqa_obs::span!("passages");
             let passages = qa.passages(&analysis);
             span.record("returned", passages.len());
@@ -285,77 +221,14 @@ impl QaEngine {
         if expired(deadline) {
             return QuestionReport::timed_out("deadline expired after passage selection");
         }
-
-        // Acquisition phase: when a source is attached, re-fetch every
-        // passage document through it. Failed documents drop their
-        // passages; corrupted bodies force answer re-validation below.
-        let mut fetched_by_url: HashMap<String, Fetched> = HashMap::new();
-        let mut faults: Vec<String> = Vec::new();
-        if let (Some(source), Some(store)) = (&self.source, qa.store()) {
-            let span = dwqa_obs::span!("acquire");
-            let mut urls: Vec<&str> = Vec::new();
-            for p in &passages {
-                let url = store.get(p.doc).url.as_str();
-                if !urls.contains(&url) {
-                    urls.push(url);
-                }
-            }
-            span.record("urls", urls.len());
-            for url in &urls {
-                match source.fetch_by(url, deadline) {
-                    Ok(fetched) => {
-                        if !fetched.integrity.is_intact() {
-                            faults.push(format!("{url}: body {:?}", fetched.integrity));
-                        }
-                        fetched_by_url.insert((*url).to_owned(), fetched);
-                    }
-                    Err(err) => faults.push(format!("{url}: {err}")),
-                }
-            }
-            span.record("fetched", fetched_by_url.len());
-            span.record("faults", faults.len());
-            if !urls.is_empty() && fetched_by_url.is_empty() {
-                return QuestionReport::source_unavailable(faults.join("; "));
-            }
-            passages.retain(|p| fetched_by_url.contains_key(&store.get(p.doc).url));
-            if expired(deadline) {
-                return QuestionReport::timed_out("deadline expired during document acquisition");
-            }
-        }
-
         let t = Instant::now();
-        let mut answers = {
+        let answers = {
             let span = dwqa_obs::span!("extract", passages = passages.len());
             let answers = qa.extract(&analysis, &passages);
             span.record("answers", answers.len());
             answers
         };
         self.stats.extract.record(t.elapsed());
-
-        // Re-validation: an answer extracted from a re-acquired document
-        // survives only if the fetched body is intact or still contains
-        // the answer sentence verbatim (modulo whitespace). Corruption
-        // can therefore only *drop* answers, never alter their values.
-        if self.source.is_some() {
-            let span = dwqa_obs::span!("validate", answers = answers.len());
-            let before = answers.len();
-            answers.retain(|a| match fetched_by_url.get(&a.url) {
-                Some(f) if f.integrity.is_intact() => true,
-                Some(f) => normalize_ws(&f.doc.text).contains(&normalize_ws(&a.sentence)),
-                None => false,
-            });
-            let dropped = before - answers.len();
-            span.record("dropped", dropped);
-            if dropped > 0 {
-                faults.push(format!("{dropped} answer(s) failed body re-validation"));
-            }
-        }
-
-        if !faults.is_empty() {
-            // Degraded answers are not cached: a retry may fetch clean
-            // copies and produce a first-class result.
-            return QuestionReport::degraded(answers, faults.join("; "));
-        }
         self.cache.store(key, answers.clone());
         QuestionReport::ok(answers)
     }
@@ -400,36 +273,41 @@ impl QaEngine {
         }
         let slots: Vec<Mutex<Option<QuestionReport>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        let joined = crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| loop {
-                    // Work stealing off a shared index: whichever worker
-                    // is free takes the next question, but every report
-                    // lands in its question's slot.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let report = self.answer_observed(&questions[i], Some(i), None);
-                    *slots[i].lock() = Some(report);
-                });
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| loop {
+                        // Work stealing off a shared index: whichever
+                        // worker is free takes the next question, but
+                        // every report lands in its question's slot.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let report = self.answer_observed(&questions[i], Some(i), None);
+                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(report);
+                    })
+                })
+                .collect();
+            for handle in handles {
+                if handle.join().is_err() {
+                    // answer_observed isolates panics, so a worker death
+                    // here is a bug — count it and degrade the unfilled
+                    // slots instead of poisoning the whole batch.
+                    self.stats.record_worker_death();
+                }
             }
         });
-        if joined.is_err() {
-            // answer_checked isolates panics, so a worker death here is
-            // a bug — count it (the chaos harness asserts this stays 0)
-            // and degrade the unfilled slots instead of poisoning the
-            // whole batch.
-            self.stats.record_worker_death();
-        }
         slots
             .into_iter()
             .map(|slot| {
-                slot.into_inner().unwrap_or_else(|| {
-                    QuestionReport::panicked(
-                        "batch worker died before filling this slot".to_owned(),
-                    )
-                })
+                slot.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .unwrap_or_else(|| {
+                        QuestionReport::panicked(
+                            "batch worker died before filling this slot".to_owned(),
+                        )
+                    })
             })
             .collect()
     }
@@ -488,11 +366,6 @@ impl QaSession {
     /// The session's engine.
     pub fn engine(&self) -> &QaEngine {
         &self.engine
-    }
-
-    /// The session's engine, mutably (to toggle the source or deadline).
-    pub fn engine_mut(&mut self) -> &mut QaEngine {
-        &mut self.engine
     }
 
     /// The session's statistics.
@@ -608,5 +481,24 @@ impl SubmitBatch for IntegrationPipeline {
             wall: start.elapsed(),
             worst_trace,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_answer_is_isolated_and_counted() {
+        let stats = EngineStats::default();
+        let report = isolated(&stats, || panic!("boom in extraction"));
+        assert_eq!(report.outcome, AnswerOutcome::Panicked);
+        assert!(report.answers.is_empty());
+        assert_eq!(report.detail.as_deref(), Some("boom in extraction"));
+        assert_eq!(stats.outcomes_panicked(), 1);
+
+        let report = isolated(&stats, || QuestionReport::ok(Vec::new()));
+        assert_eq!(report.outcome, AnswerOutcome::Ok);
+        assert_eq!(stats.outcomes_panicked(), 1);
     }
 }

@@ -4,15 +4,14 @@
 //! The engine owns one registry per instance and installs it into each
 //! worker's thread-local observation context for the duration of a
 //! question (see [`dwqa_obs::observe`]), so the lower crates — `dwqa-ir`
-//! retrieval, the fault layer — record against the same names
+//! retrieval, the warehouse kernel — record against the same names
 //! ([`dwqa_obs::names`]) without any handle threading. `EngineStats`
 //! caches `Arc` handles to the hot counters and histograms, keeping the
 //! record path lock-free, and renders the whole registry as the familiar
 //! fixed-width table for the REPL and experiment binaries.
 
 use crate::outcome::AnswerOutcome;
-use dwqa_faults::SourceHealth;
-use dwqa_obs::{names, Counter, Gauge, MetricsRegistry};
+use dwqa_obs::{names, Counter, MetricsRegistry};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -79,19 +78,11 @@ pub struct EngineStats {
     batches: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
-    // Degraded-answer taxonomy counters.
+    // Outcome taxonomy counters.
     outcome_ok: Arc<Counter>,
-    outcome_degraded: Arc<Counter>,
     outcome_timed_out: Arc<Counter>,
-    outcome_unavailable: Arc<Counter>,
     outcome_panicked: Arc<Counter>,
-    // Resilience gauges: mirror the *cumulative* [`SourceHealth`] of the
-    // engine's source stack (set, not summed); rollbacks and worker
-    // deaths are engine-local event counters.
-    source_retries: Arc<Gauge>,
-    source_trips: Arc<Gauge>,
-    source_rejections: Arc<Gauge>,
-    source_failures: Arc<Gauge>,
+    // Resilience counters: engine-local events.
     rollbacks: Arc<Counter>,
     worker_deaths: Arc<Counter>,
 }
@@ -120,14 +111,8 @@ impl EngineStats {
             cache_hits: registry.counter(names::CACHE_HITS),
             cache_misses: registry.counter(names::CACHE_MISSES),
             outcome_ok: registry.counter(&outcome_name(AnswerOutcome::Ok)),
-            outcome_degraded: registry.counter(&outcome_name(AnswerOutcome::Degraded)),
             outcome_timed_out: registry.counter(&outcome_name(AnswerOutcome::TimedOut)),
-            outcome_unavailable: registry.counter(&outcome_name(AnswerOutcome::SourceUnavailable)),
             outcome_panicked: registry.counter(&outcome_name(AnswerOutcome::Panicked)),
-            source_retries: registry.gauge(names::SOURCE_RETRIES),
-            source_trips: registry.gauge(names::SOURCE_BREAKER_TRIPS),
-            source_rejections: registry.gauge(names::SOURCE_BREAKER_REJECTIONS),
-            source_failures: registry.gauge(names::SOURCE_FAILURES),
             rollbacks: registry.counter(names::ROLLBACKS),
             worker_deaths: registry.counter(names::WORKER_DEATHS),
             registry,
@@ -135,16 +120,15 @@ impl EngineStats {
     }
 
     /// The underlying registry — what the engine installs into each
-    /// worker's observation context so retrieval and fault counters land
-    /// next to the stage histograms.
+    /// worker's observation context so retrieval and warehouse counters
+    /// land next to the stage histograms.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
     }
 
     /// Merges another stats object into this one: counters and every
     /// histogram bucket are added (full-width — disjoint latency ranges
-    /// lose nothing); gauges are summed, which is only meaningful when
-    /// the two engines watched *different* source stacks.
+    /// lose nothing).
     pub fn absorb(&self, other: &EngineStats) {
         self.registry.absorb(&other.registry);
     }
@@ -168,21 +152,10 @@ impl EngineStats {
     pub(crate) fn record_outcome(&self, outcome: AnswerOutcome) {
         let counter = match outcome {
             AnswerOutcome::Ok => &self.outcome_ok,
-            AnswerOutcome::Degraded => &self.outcome_degraded,
             AnswerOutcome::TimedOut => &self.outcome_timed_out,
-            AnswerOutcome::SourceUnavailable => &self.outcome_unavailable,
             AnswerOutcome::Panicked => &self.outcome_panicked,
         };
         counter.inc();
-    }
-
-    /// Mirrors the source stack's cumulative health counters (idempotent:
-    /// stores the latest values rather than summing deltas).
-    pub(crate) fn sync_source_health(&self, health: &SourceHealth) {
-        self.source_retries.set(health.retries);
-        self.source_trips.set(health.breaker_trips);
-        self.source_rejections.set(health.breaker_rejections);
-        self.source_failures.set(health.failures);
     }
 
     pub(crate) fn record_rollback(&self) {
@@ -201,16 +174,6 @@ impl EngineStats {
     /// Questions whose worker panicked (isolated).
     pub fn outcomes_panicked(&self) -> u64 {
         self.outcome_panicked.value()
-    }
-
-    /// Source retries performed by the resilience layer.
-    pub fn source_retries(&self) -> u64 {
-        self.source_retries.value()
-    }
-
-    /// Circuit-breaker trips in the source stack.
-    pub fn breaker_trips(&self) -> u64 {
-        self.source_trips.value()
     }
 
     /// Feed transactions rolled back all-or-nothing.
@@ -289,11 +252,9 @@ impl EngineStats {
             ));
         }
         out.push_str(&format!(
-            "outcomes: {} ok / {} degraded / {} timed-out / {} source-unavailable / {} panicked\n",
+            "outcomes: {} ok / {} timed-out / {} panicked\n",
             self.outcome_ok.value(),
-            self.outcome_degraded.value(),
             self.outcome_timed_out.value(),
-            self.outcome_unavailable.value(),
             self.outcome_panicked.value(),
         ));
         out.push_str(&format!(
@@ -317,11 +278,7 @@ impl EngineStats {
             count(names::WAREHOUSE_DELTA_ROWS),
         ));
         out.push_str(&format!(
-            "resilience: {} retries   {} breaker trips   {} breaker rejections   {} source failures   {} rollbacks   {} worker deaths\n",
-            self.source_retries.value(),
-            self.source_trips.value(),
-            self.source_rejections.value(),
-            self.source_failures.value(),
+            "resilience: {} rollbacks   {} worker deaths\n",
             self.rollbacks.value(),
             self.worker_deaths.value(),
         ));
@@ -389,14 +346,13 @@ mod tests {
              passages  |      4 | 10.3 ms |  128 µs | 65.5 ms | 65.5 ms\n\
              extract   |      4 | 20.5 ms |  256 µs | 131.1 ms | 131.1 ms\n\
              feed      |      4 | 41.1 ms |  512 µs | 262.1 ms | 262.1 ms\n\
-             outcomes: 1 ok / 12 degraded / 23 timed-out / 34 source-unavailable / 45 panicked\n\
+             outcomes: 1 ok / 12 timed-out / 23 panicked\n\
              retrieval: 31 retrievals   700.0 candidate docs/query (20% of corpus pruned)   \
              403 docs scored / 21297 cut by the score bound   13330 windows scored\n\
              warehouse: 80 plans compiled / 87 reused   61094 rows scanned   \
              rollup cache: 101 hits / 8 misses   \
              deltas: 115 applied / 2 demoted (1290 rows folded)\n\
-             resilience: 13 retries   17 breaker trips   19 breaker rejections   \
-             23 source failures   6 rollbacks   1 worker deaths\n"
+             resilience: 6 rollbacks   1 worker deaths\n"
         );
         assert_eq!(
             EngineStats::default().render(),
@@ -407,14 +363,13 @@ mod tests {
              passages  |      0 |    0 µs |    0 µs |    0 µs |    0 µs\n\
              extract   |      0 |    0 µs |    0 µs |    0 µs |    0 µs\n\
              feed      |      0 |    0 µs |    0 µs |    0 µs |    0 µs\n\
-             outcomes: 0 ok / 0 degraded / 0 timed-out / 0 source-unavailable / 0 panicked\n\
+             outcomes: 0 ok / 0 timed-out / 0 panicked\n\
              retrieval: 0 retrievals   0.0 candidate docs/query (0% of corpus pruned)   \
              0 docs scored / 0 cut by the score bound   0 windows scored\n\
              warehouse: 0 plans compiled / 0 reused   0 rows scanned   \
              rollup cache: 0 hits / 0 misses   \
              deltas: 0 applied / 0 demoted (0 rows folded)\n\
-             resilience: 0 retries   0 breaker trips   0 breaker rejections   \
-             0 source failures   0 rollbacks   0 worker deaths\n"
+             resilience: 0 rollbacks   0 worker deaths\n"
         );
     }
 
@@ -458,9 +413,7 @@ mod tests {
         }
         for (n, outcome) in [
             AnswerOutcome::Ok,
-            AnswerOutcome::Degraded,
             AnswerOutcome::TimedOut,
-            AnswerOutcome::SourceUnavailable,
             AnswerOutcome::Panicked,
         ]
         .into_iter()
@@ -468,13 +421,6 @@ mod tests {
         {
             reg.counter(&outcome_name(outcome)).add(11 * n as u64 + 1);
         }
-        stats.sync_source_health(&SourceHealth {
-            retries: 13,
-            breaker_trips: 17,
-            breaker_rejections: 19,
-            failures: 23,
-            ..SourceHealth::default()
-        });
         stats
     }
 
@@ -534,38 +480,25 @@ mod tests {
         let stats = EngineStats::default();
         stats.record_outcome(AnswerOutcome::Ok);
         stats.record_outcome(AnswerOutcome::Ok);
-        stats.record_outcome(AnswerOutcome::Degraded);
         stats.record_outcome(AnswerOutcome::TimedOut);
-        stats.record_outcome(AnswerOutcome::SourceUnavailable);
         stats.record_outcome(AnswerOutcome::Panicked);
         assert_eq!(stats.outcomes_timed_out(), 1);
         assert_eq!(stats.outcomes_panicked(), 1);
         assert!(
-            stats.render().contains(
-                "outcomes: 2 ok / 1 degraded / 1 timed-out / 1 source-unavailable / 1 panicked\n"
-            ),
+            stats
+                .render()
+                .contains("outcomes: 2 ok / 1 timed-out / 1 panicked\n"),
             "{}",
             stats.render()
         );
         stats.record_rollback();
+        stats.record_worker_death();
         assert_eq!(stats.rollbacks(), 1);
-        assert_eq!(stats.worker_deaths(), 0);
-        // Source health mirrors cumulative counters idempotently.
-        let health = SourceHealth {
-            retries: 7,
-            breaker_trips: 2,
-            breaker_rejections: 3,
-            failures: 4,
-            ..SourceHealth::default()
-        };
-        stats.sync_source_health(&health);
-        stats.sync_source_health(&health);
-        assert_eq!(stats.source_retries(), 7);
-        assert_eq!(stats.breaker_trips(), 2);
+        assert_eq!(stats.worker_deaths(), 1);
         assert!(
             stats
                 .render()
-                .contains("3 breaker rejections   4 source failures"),
+                .contains("resilience: 1 rollbacks   1 worker deaths\n"),
             "{}",
             stats.render()
         );

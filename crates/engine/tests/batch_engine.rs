@@ -4,9 +4,11 @@
 //! of questions, and the answer cache must keep serving across feedback,
 //! which mutates only the warehouse.
 
-use dwqa_bench::{build_fixture, daily_questions, monthly_question, FixtureConfig};
+use dwqa_bench::{
+    build_fixture, cached_rollup, daily_questions, monthly_question, weather_by_city, FixtureConfig,
+};
 use dwqa_common::{Date, Month};
-use dwqa_core::IntegrationPipeline;
+use dwqa_core::{FeedFault, IntegrationPipeline};
 use dwqa_corpus::PageStyle;
 use dwqa_engine::{QaEngine, QaSession, SubmitBatch};
 use dwqa_warehouse::{AggFn, CubeQuery};
@@ -134,6 +136,79 @@ proptest! {
         b.submit_batch(&shuffled);
         prop_assert_eq!(weather_state(&a), weather_state(&b));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// A rolled-back feed leaves the warehouse fact counts and a cached
+    /// roll-up identical to the pre-feed snapshot, for any fault seed.
+    #[test]
+    fn rolled_back_feed_restores_the_snapshot(seed in 0u64..1_000_000) {
+        let mut pipeline = small_fixture();
+        let engine = QaEngine::new(&pipeline).with_workers(2);
+        let questions = question_pool();
+
+        pipeline.set_feed_fault(Some(FeedFault { seed, rate: 1.0 }));
+        let snapshot_before = pipeline.warehouse.snapshot();
+        let facts_before = pipeline
+            .warehouse
+            .fact("City Weather")
+            .expect("schema has the weather star")
+            .len();
+        let by_city = weather_by_city();
+        let cached = pipeline.rollup(&by_city).expect("roll-up runs");
+
+        let report = pipeline.submit_batch_with(&engine, &questions);
+        prop_assert!(report.rolled_back);
+        prop_assert!(report.feed_error.is_some());
+        prop_assert_eq!(report.feed.loaded, 0, "a rolled-back feed reports no loads");
+        prop_assert_eq!(
+            pipeline.warehouse.fact("City Weather").expect("weather star").len(),
+            facts_before
+        );
+        prop_assert_eq!(&cached_rollup(&pipeline, &by_city), &cached, "rollback kept it");
+        prop_assert_eq!(pipeline.warehouse.snapshot(), snapshot_before);
+        prop_assert_eq!(engine.stats().rollbacks(), 1);
+
+        // The same batch commits once the fault lifts: nothing was
+        // corrupted by the failed attempt.
+        pipeline.set_feed_fault(None);
+        let report = pipeline.submit_batch_with(&engine, &questions);
+        prop_assert!(!report.rolled_back);
+        prop_assert!(report.feed.loaded > 0);
+        prop_assert_ne!(&cached_rollup(&pipeline, &by_city), &cached, "commit folded in");
+    }
+}
+
+/// A traced batch reports its worst-latency question trace: rooted at
+/// `question`, spanning retrieval with its pruning counts, and carrying
+/// the batch's feed disposition back-annotated onto the root.
+#[test]
+fn traced_batch_reports_its_worst_question_trace() {
+    let mut pipeline = small_fixture();
+    let questions = question_pool();
+    let engine = QaEngine::new(&pipeline)
+        .with_workers(4)
+        .with_cache_capacity(0)
+        .with_tracing(true)
+        .with_trace_capacity(questions.len() + 1);
+    let report = pipeline.submit_batch_with(&engine, &questions);
+    assert!(!report.rolled_back);
+    let trace = report
+        .worst_trace
+        .expect("traced batches report a worst trace");
+    assert_eq!(trace.root().map(|r| r.name), Some("question"));
+    let retrieve = trace.find("retrieve").expect("the trace spans retrieval");
+    assert!(
+        retrieve.field("docs_candidate").is_some() && retrieve.field("docs_pruned").is_some(),
+        "retrieval span carries candidate/pruned counts"
+    );
+    assert_eq!(
+        trace.root_field("feed").and_then(|v| v.as_str()),
+        Some("committed"),
+        "feed disposition is back-annotated onto the question trace"
+    );
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! engine's metrics registry and (when tracing is on) a fresh trace
 //! rooted at a `question` span into thread-local storage, and on drop
 //! finalises the root span and hands the trace to the flight recorder.
-//! Everything below the engine — `dwqa-ir`, `dwqa-faults`,
+//! Everything below the engine — `dwqa-ir`, `dwqa-warehouse`,
 //! `dwqa-core` — records through the free functions here without any
 //! handle threading: if no context is installed (a bare library call,
 //! a test, the exhaustive reference path) every call is a no-op.

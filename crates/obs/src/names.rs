@@ -4,14 +4,13 @@
 //! engine's `EngineStats` view, the REPL `:stats` table, and the
 //! experiment binaries all read the same names. Dotted segments group
 //! by subsystem: `engine.*` (stage latencies, cache, outcomes),
-//! `retrieval.*` (index pruning), `source.*` (fault layer), `feed.*`
-//! (ETL dispositions).
+//! `retrieval.*` (index pruning), `feed.*` (ETL dispositions).
 
 /// Stage latency histogram: question analysis.
 pub const STAGE_ANALYZE: &str = "engine.stage.analyze";
-/// Stage latency histogram: passage retrieval (incl. acquisition).
+/// Stage latency histogram: passage retrieval.
 pub const STAGE_PASSAGES: &str = "engine.stage.passages";
-/// Stage latency histogram: answer extraction + validation.
+/// Stage latency histogram: answer extraction.
 pub const STAGE_EXTRACT: &str = "engine.stage.extract";
 /// Stage latency histogram: feedback ETL batches.
 pub const STAGE_FEED: &str = "engine.stage.feed";
@@ -25,7 +24,7 @@ pub const CACHE_HITS: &str = "engine.cache.hits";
 /// Counter: answer-cache misses.
 pub const CACHE_MISSES: &str = "engine.cache.misses";
 /// Counter prefix for per-outcome totals; the outcome label is
-/// appended, e.g. `engine.outcome.degraded`.
+/// appended, e.g. `engine.outcome.timed-out`.
 pub const OUTCOME_PREFIX: &str = "engine.outcome.";
 /// Counter: feedback batches rolled back.
 pub const ROLLBACKS: &str = "engine.feed.rollbacks";
@@ -47,16 +46,6 @@ pub const RETRIEVAL_DOCS_SCORED: &str = "retrieval.docs.scored";
 pub const RETRIEVAL_DOCS_BOUND_SKIPPED: &str = "retrieval.docs.bound_skipped";
 /// Counter: passage windows actually scored (summed).
 pub const RETRIEVAL_WINDOWS_SCORED: &str = "retrieval.windows.scored";
-
-/// Gauge: retry attempts performed by the resilient source (mirrored
-/// from the source's own cumulative health counters).
-pub const SOURCE_RETRIES: &str = "source.retries";
-/// Gauge: circuit-breaker trips (closed → open).
-pub const SOURCE_BREAKER_TRIPS: &str = "source.breaker.trips";
-/// Gauge: fetches rejected by an open breaker.
-pub const SOURCE_BREAKER_REJECTIONS: &str = "source.breaker.rejections";
-/// Gauge: fetches that exhausted every attempt.
-pub const SOURCE_FAILURES: &str = "source.failures";
 
 /// Counter: WAL records appended by the feedback store (`dwqa-store`).
 pub const STORE_WAL_APPENDS: &str = "store.wal.appends";

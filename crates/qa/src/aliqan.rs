@@ -211,8 +211,8 @@ impl AliQAn {
         &self.lexicon
     }
 
-    /// The indexed corpus, if [`AliQAn::index_corpus`] has run. Document
-    /// acquisition layers use it to resolve passage documents to URLs.
+    /// The indexed corpus, if [`AliQAn::index_corpus`] has run: the
+    /// documents passages point into, with their URLs.
     pub fn store(&self) -> Option<&DocumentStore> {
         self.store.as_ref()
     }

@@ -8,7 +8,7 @@
 //! and speaks a JSON-lines protocol over TCP:
 //!
 //! * **`ask` / `batch`** — answer questions through the engine's read
-//!   path (cached, deadline-bounded, fault-hardened);
+//!   path (cached, deadline-bounded, panic-isolated);
 //! * **`feedback`** — answer *and* feed the results into the warehouse
 //!   through the serialized transactional write path;
 //! * **`stats`** — service counters, cache and outcome taxonomy;

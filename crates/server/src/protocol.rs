@@ -234,10 +234,10 @@ pub struct Response {
     pub retry_after_ms: Option<u64>,
     /// Per-question answers, in request order (`ask` has one entry).
     pub answers: Option<Vec<Vec<Answer>>>,
-    /// Per-question outcome labels (`ok`, `degraded`, `timed-out`, …),
+    /// Per-question outcome labels (`ok`, `timed-out`, `panicked`),
     /// aligned with `answers`.
     pub outcomes: Option<Vec<String>>,
-    /// Human-readable detail: degradation notes or the error message.
+    /// Human-readable detail: the failure detail or the error message.
     pub detail: Option<String>,
     /// Rows loaded into the warehouse (`feedback` only).
     pub loaded: Option<u64>,

@@ -3,9 +3,8 @@
 //! and runs one writer thread per peer that drains its frame queue
 //! through the seeded link-fault layer.
 
-use super::{relock, Peer, ReplState, MAX_LINK_FRAME};
+use super::{relock, LinkAction, LinkDecision, Peer, ReplState, MAX_LINK_FRAME};
 use dwqa_core::IntegrationPipeline;
-use dwqa_faults::LinkAction;
 use dwqa_obs::names;
 use dwqa_store::{Frame, FrameKind, FrameStream};
 use std::io::{ErrorKind, Read, Write};
@@ -211,7 +210,7 @@ fn peer_writer(peer: &Arc<Peer>) -> Option<TcpStream> {
 fn ship_frame(state: &ReplState, writer: &mut TcpStream, frame: &[u8]) -> bool {
     let decision = match &state.link_fault {
         Some(fault) => relock(fault).decide(frame.len()),
-        None => dwqa_faults::LinkDecision::deliver(),
+        None => LinkDecision::deliver(),
     };
     match decision.action {
         LinkAction::Drop => {

@@ -1,9 +1,8 @@
 //! Seeded chaos for the replication link.
 //!
-//! Where [`crate::FaultInjector`] abuses the *acquisition* path and
-//! `dwqa-store`'s `TornWriter` abuses the *disk*, [`LinkFault`] abuses
-//! the TCP link a primary ships WAL frames over: frames are dropped,
-//! delayed, torn mid-frame, duplicated, or the connection goes
+//! Where `dwqa-store`'s `TornWriter` abuses the *disk*, [`LinkFault`]
+//! abuses the TCP link a primary ships WAL frames over: frames are
+//! dropped, delayed, torn mid-frame, duplicated, or the connection goes
 //! half-open (silent, then dead). Every decision derives from a seed
 //! and a monotonically increasing event counter, so a chaos run
 //! replays exactly — but, unlike the disk layer, *retries of the same
@@ -14,7 +13,6 @@
 //! negotiation (resubscribe from the last applied sequence) and
 //! dedup by frame sequence number; `exp_failover` (E18) proves it.
 
-use crate::unit_float;
 use dwqa_common::mix64;
 use std::time::Duration;
 
@@ -113,10 +111,10 @@ impl LinkPlan {
         self
     }
 
+    /// A uniform float in `[0, 1)` from the top 53 bits of the roll.
     fn unit(&self, event: u64, salt: u64) -> f64 {
-        unit_float(mix64(
-            self.seed ^ mix64(event.wrapping_mul(0x9E37).wrapping_add(salt)),
-        ))
+        let h = mix64(self.seed ^ mix64(event.wrapping_mul(0x9E37).wrapping_add(salt)));
+        (h >> 11) as f64 / (1u64 << 53) as f64
     }
 
     fn point(&self, event: u64, bound: u64) -> u64 {

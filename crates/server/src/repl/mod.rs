@@ -33,12 +33,13 @@
 
 pub(crate) mod follower;
 pub(crate) mod hub;
+mod link;
 
 use crate::protocol::PeerStatus;
 use dwqa_common::ConfigError;
 use dwqa_core::IntegrationPipeline;
-use dwqa_faults::{LinkFault, LinkPlan};
 use dwqa_obs::{names, MetricsRegistry};
+pub use link::{LinkAction, LinkDecision, LinkFault, LinkPlan};
 use std::collections::VecDeque;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};

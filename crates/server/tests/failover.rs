@@ -20,7 +20,7 @@ use dwqa_bench::{build_fixture, daily_questions, FixtureConfig};
 use dwqa_common::Month;
 use dwqa_core::IntegrationPipeline;
 use dwqa_corpus::PageStyle;
-use dwqa_faults::{LinkAction, LinkFault, LinkPlan};
+use dwqa_server::repl::{LinkAction, LinkFault, LinkPlan};
 use dwqa_server::{
     BusyReason, QaClient, QaServer, ReplicasReport, ReplicationConfig, ReplicationMode,
     ServerConfig, Status,

@@ -26,11 +26,10 @@
 //! every append (the committed-prefix invariant holds across power
 //! loss), `EveryN` amortizes, `Never` leaves flushing to the OS.
 //!
-//! The [`TornWriter`] fault layer (seeded, in the spirit of
-//! `dwqa-faults::FaultInjector`) injects short writes, bit flips,
-//! duplicated records and failed fsyncs so the recovery tests and the
-//! `exp_crash` experiment can prove the invariant instead of assuming
-//! it.
+//! The seeded [`TornWriter`] fault layer injects short writes, bit
+//! flips, duplicated records and failed fsyncs so the recovery tests
+//! and the `exp_crash` experiment can prove the invariant instead of
+//! assuming it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

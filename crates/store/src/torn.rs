@@ -1,7 +1,7 @@
-//! Seeded torn-write fault injection for the WAL, in the spirit of
-//! `dwqa-faults::FaultInjector`: deterministic per-sequence rolls from
-//! a SplitMix64 hash, so a given `(seed, seq)` always injects the same
-//! fault — tests and `exp_crash` can replay a failure exactly.
+//! Seeded torn-write fault injection for the WAL: deterministic
+//! per-sequence rolls from a SplitMix64 hash, so a given `(seed, seq)`
+//! always injects the same fault — tests and `exp_crash` can replay a
+//! failure exactly.
 //!
 //! Faults model a process (or disk) dying mid-append:
 //!
